@@ -37,7 +37,7 @@ from typing import Optional, Union
 from repro.fusion.taxonomy import (Contiguity, classify_contiguity_at,
                                    classify_relative, span)
 from repro.isa.instructions import Instruction, OpClass
-from repro.isa.interp import _MASK64
+from repro.isa.interp import MASK64
 from repro.isa.program import Program
 from repro.analysis.legality import Reason
 
@@ -368,7 +368,7 @@ class StaticFusionAnalyzer:
         t_root, t_off = self._address(state, head_index, tail)
         if h_root == t_root:
             if h_root is None:
-                a0, b0 = h_off & _MASK64, t_off & _MASK64
+                a0, b0 = h_off & MASK64, t_off & MASK64
                 delta = signed_delta(b0, a0)
                 if span(a0, head.mem_size, b0, tail.mem_size) \
                         > self.granularity:

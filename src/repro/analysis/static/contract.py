@@ -317,17 +317,10 @@ def _oracle_pairs(trace: Trace, config: ProcessorConfig) -> list:
 
 def _committed_pairs(trace: Trace, config: ProcessorConfig) -> list:
     """Memory pairs the pipeline commits fused under ``config``."""
-    from repro.fusion.oracle import cached_oracle_pairs
     from repro.obs import CommitLog
     from repro.pipeline.core import PipelineCore
     clog = CommitLog()
-    oracle_pairs = None
-    if config.fusion_mode in (FusionMode.HELIOS, FusionMode.ORACLE):
-        oracle_pairs = cached_oracle_pairs(
-            trace, granularity=config.cache_access_granularity,
-            max_distance=config.max_fusion_distance)
-    core = PipelineCore(trace, config, oracle_pairs=oracle_pairs,
-                        commit_log=clog)
+    core = PipelineCore(trace, config, commit_log=clog)
     core.run()
     return [(head_seq, tail_seq)
             for head_seq, tail_seq, kind in clog.fused_pairs()
@@ -393,11 +386,10 @@ def check_workload_contract(name: str,
     pairs that mode's pipeline actually commits).
     """
     from repro.workloads.catalog import (
-        DEFAULT_MAX_UOPS, build_program, build_workload, ensure_known)
+        build_program, build_workload, ensure_known)
     ensure_known([name])
     config = config or ProcessorConfig()
-    cap = max_uops or DEFAULT_MAX_UOPS
-    trace = build_workload(name, max_uops=cap)
+    trace = build_workload(name, max_uops=max_uops)
     program = build_program(name)
     _analyzer, static = static_report_for(
         program, config=config, path_budget=path_budget)

@@ -17,7 +17,7 @@ Three layers, each feeding the next:
   ``(root_value + offset) & 2**64-1`` where ``root`` is either
   ``None`` (a known constant, ``offset`` is the value) or an opaque
   token.  Resolution chases *unique* reaching definitions through the
-  interpreter's own compute table (``isa.interp._COMPUTE_OPS``), so
+  interpreter's own compute table (``isa.interp.COMPUTE_OPS``), so
   constant chains (``lui``/``addiw`` from ``li`` expansions, ``auipc``)
   evaluate exactly and pointer arithmetic (``addi base, base, k``)
   stays linear.  Anything it cannot prove becomes a fresh opaque root
@@ -32,7 +32,7 @@ from collections.abc import Sequence
 from typing import Optional
 
 from repro.isa.instructions import Instruction, OpClass
-from repro.isa.interp import _COMPUTE_OPS, _MASK64, STACK_TOP
+from repro.isa.interp import COMPUTE_OPS, MASK64, STACK_TOP
 from repro.isa.program import INSTRUCTION_BYTES
 from repro.isa.registers import NUM_ARCH_REGS
 
@@ -68,7 +68,7 @@ def signed_delta(offset_a: int, offset_b: int) -> int:
     accesses do not straddle the 2**64 wrap (they never do for the
     interpreter's arena layout).
     """
-    return ((offset_a - offset_b + _SIGN_BIT) & _MASK64) - _SIGN_BIT
+    return ((offset_a - offset_b + _SIGN_BIT) & MASK64) - _SIGN_BIT
 
 
 def _defined_reg(inst: Instruction) -> Optional[int]:
@@ -280,8 +280,8 @@ class ValueResolver:
             return (opaque_root, 0)
         if opclass is OpClass.JUMP:
             # Link value: pc of the next instruction — a constant.
-            return (None, (inst.pc + INSTRUCTION_BYTES) & _MASK64)
-        handler = _COMPUTE_OPS.get(mnem)
+            return (None, (inst.pc + INSTRUCTION_BYTES) & MASK64)
+        handler = COMPUTE_OPS.get(mnem)
         if handler is None:
             return (opaque_root, 0)
         a_root, a_off = value(inst.rs1)
@@ -289,11 +289,11 @@ class ValueResolver:
         if a_root is None and (inst.rs2 is None or b_root is None):
             # All inputs constant: defer to the interpreter's own
             # compute table so the abstraction is exact by shared code.
-            a = a_off & _MASK64
-            b = b_off & _MASK64 if inst.rs2 is not None \
-                else (inst.imm or 0) & _MASK64
+            a = a_off & MASK64
+            b = b_off & MASK64 if inst.rs2 is not None \
+                else (inst.imm or 0) & MASK64
             try:
-                result = handler(a, b, inst.imm, inst) & _MASK64
+                result = handler(a, b, inst.imm, inst) & MASK64
             except Exception:
                 return (opaque_root, 0)
             return (None, result)
@@ -310,5 +310,5 @@ class ValueResolver:
             if b_root is None:
                 return (a_root, a_off - b_off)
             if a_root is not None and a_root == b_root:
-                return (None, signed_delta(a_off, b_off) & _MASK64)
+                return (None, signed_delta(a_off, b_off) & MASK64)
         return (opaque_root, 0)

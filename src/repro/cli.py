@@ -37,7 +37,7 @@ from repro.core.storage import helios_storage_budget
 from repro.experiments import (
     ResultCache, SweepJobError, SweepReport, cpi_accounting,
     figure2, figure3, figure4, figure5, figure8, figure9, figure10,
-    last_sweep_report, legality_census, run_suite,
+    legality_census, run_suite_with_report,
     table1, table2, table3,
 )
 from repro.sampling import DEFAULT_WINDOWS as _SAMPLE_DEFAULT_WINDOWS
@@ -95,9 +95,17 @@ def _cmd_workloads(_args) -> int:
     return 0
 
 
+def _known_workload(args) -> str:
+    """``args.workload``, or exit if it is not in the catalog."""
+    if args.workload not in CATALOG:
+        raise SystemExit("unknown workload %r (see `repro workloads`)"
+                         % args.workload)
+    return args.workload
+
+
 def _config_from(args) -> ProcessorConfig:
     config = ProcessorConfig()
-    if getattr(args, "fp_kind", None):
+    if args.fp_kind:
         config = dataclasses.replace(config, fp_kind=args.fp_kind)
     return config
 
@@ -109,12 +117,10 @@ def _trace_for(args):
     trace; ``--max-uops N`` caps the regular catalog capture; neither
     uses the catalog default (:data:`repro.config.DEFAULT_MAX_UOPS`).
     """
-    if getattr(args, "scale_to", None):
+    if args.scale_to:
         from repro.sampling import build_scaled_workload
         return build_scaled_workload(args.workload, args.scale_to)
-    if getattr(args, "max_uops", None):
-        return build_workload(args.workload, max_uops=args.max_uops)
-    return build_workload(args.workload)
+    return build_workload(args.workload, max_uops=args.max_uops)
 
 
 def _render_estimate(est) -> str:
@@ -175,9 +181,7 @@ def _simulate_segmented(args, config: ProcessorConfig) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.workload not in CATALOG:
-        raise SystemExit("unknown workload %r (see `repro workloads`)"
-                         % args.workload)
+    _known_workload(args)
     if args.sample is not None and args.segments is not None:
         raise SystemExit(
             "--sample (approximate, single-process) and --segments "
@@ -234,15 +238,16 @@ def _cmd_experiment(args) -> int:
         # Warm the (memo + disk) cache in parallel; the generator below
         # then assembles its rows entirely from cache hits.
         try:
-            run_suite(modes, workloads=workloads, config=config,
-                      jobs=args.jobs, cache_dir=args.cache_dir,
-                      use_cache=False if args.no_cache else None,
-                      job_timeout=args.job_timeout, retries=args.retries)
+            _, report = run_suite_with_report(
+                modes, workloads=workloads, config=config,
+                jobs=args.jobs, cache_dir=args.cache_dir,
+                use_cache=False if args.no_cache else None,
+                job_timeout=args.job_timeout, retries=args.retries)
         except SweepJobError as exc:
-            _write_report_json(args.report_json)
+            _write_report_json(args.report_json, exc.report)
             print("sweep failed: %s" % exc, file=sys.stderr)
             return 1
-        _write_report_json(args.report_json)
+        _write_report_json(args.report_json, report)
     print(runner(workloads, config=config).render())
     return 0
 
@@ -256,17 +261,12 @@ def _write_json(path: str, data: dict) -> None:
         handle.write("\n")
 
 
-def _write_report_json(path: Optional[str]) -> None:
-    """Persist the last sweep's execution report (``--report-json``)."""
-    if not path:
+def _write_report_json(path: Optional[str],
+                       report: Optional[SweepReport]) -> None:
+    """Persist a sweep's execution report (``--report-json``)."""
+    if not path or report is None:
         return
-    import json
-
-    report = last_sweep_report()
-    if report is None:
-        return
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
+    _write_json(path, report.to_dict())
     print("wrote sweep execution report to %s" % path)
 
 
@@ -319,11 +319,8 @@ def _cmd_trace(args) -> int:
     if args.action == "export":
         if not args.workload:
             raise SystemExit("trace export needs a workload name")
-        if args.workload not in CATALOG:
-            raise SystemExit("unknown workload %r (see `repro workloads`)"
-                             % args.workload)
         from repro.isa import save_trace
-        trace = build_workload(args.workload)
+        trace = build_workload(_known_workload(args))
         out = args.out or ("%s.trace.jsonl" % args.workload)
         save_trace(trace, out)
         print("wrote %d µ-ops to %s (portable JSON-lines)"
@@ -524,9 +521,7 @@ def _cmd_profile(args) -> int:
     from repro.perf import (dump_pstats, profile_run, render_profile,
                             serializable)
 
-    if args.workload not in CATALOG:
-        raise SystemExit("unknown workload %r (see `repro workloads`)"
-                         % args.workload)
+    _known_workload(args)
     mode = _parse_mode(args.mode) if args.mode else FusionMode.HELIOS
     payload = profile_run(args.workload, mode=mode,
                           max_uops=args.max_uops,
@@ -554,13 +549,7 @@ def _cmd_debug(args) -> int:
     from repro.obs import (PipelineObserver, chrome_trace,
                            occupancy_report, validate_chrome_trace)
 
-    if args.workload not in CATALOG:
-        raise SystemExit("unknown workload %r (see `repro workloads`)"
-                         % args.workload)
-    if args.max_uops:
-        trace = build_workload(args.workload, max_uops=args.max_uops)
-    else:
-        trace = build_workload(args.workload)
+    trace = build_workload(_known_workload(args), max_uops=args.max_uops)
     mode = _parse_mode(args.mode) if args.mode else FusionMode.HELIOS
     config = _config_from(args).with_mode(mode)
     observer = (PipelineObserver(ring_capacity=args.ring) if args.ring
@@ -703,19 +692,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Helios instruction-fusion reproduction (MICRO 2022)")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Flags shared by several subcommands, declared once.  ``--mode``
+    # stays per-command: its meaning differs between them.
+    fp_kind = argparse.ArgumentParser(add_help=False)
+    fp_kind.add_argument("--fp-kind", choices=["tournament", "tage", "local"],
+                         help="fusion predictor organization for Helios")
+    max_uops = argparse.ArgumentParser(add_help=False)
+    max_uops.add_argument("--max-uops", type=int, default=None, metavar="N",
+                          help="dynamic µ-op cap per trace (default %d, "
+                               "repro.config.DEFAULT_MAX_UOPS)"
+                               % DEFAULT_MAX_UOPS)
+    scheduler = argparse.ArgumentParser(add_help=False)
+    scheduler.add_argument("--jobs", type=int, default=None, metavar="N",
+                           help="worker processes for sweep jobs or "
+                                "--segments (default: $REPRO_JOBS or 1)")
+    scheduler.add_argument("--job-timeout", type=float, default=None,
+                           metavar="S",
+                           help="per-job deadline in seconds; a hung "
+                                "worker is killed and the job retried "
+                                "(default: $REPRO_JOB_TIMEOUT or off)")
+    scheduler.add_argument("--retries", type=int, default=None, metavar="N",
+                           help="retry budget per failed job, with capped "
+                                "deterministic exponential backoff "
+                                "(default: $REPRO_JOB_RETRIES or 2)")
+
     sub.add_parser("workloads", help="list the workload catalog") \
         .set_defaults(func=_cmd_workloads)
 
-    sim = sub.add_parser("simulate", help="simulate one workload")
+    sim = sub.add_parser("simulate", help="simulate one workload",
+                         parents=[fp_kind, max_uops, scheduler])
     sim.add_argument("workload")
     sim.add_argument("--mode", help="one configuration (default: all six; "
                                     "--sample/--segments default: Helios)")
-    sim.add_argument("--fp-kind", choices=["tournament", "tage", "local"],
-                     help="fusion predictor organization for Helios")
-    sim.add_argument("--max-uops", type=int, default=None, metavar="N",
-                     help="dynamic µ-op cap per trace (default %d, "
-                          "repro.config.DEFAULT_MAX_UOPS)"
-                          % DEFAULT_MAX_UOPS)
     sim.add_argument("--scale-to", type=int, default=None, metavar="N",
                      help="iteration-scale the kernel until its trace "
                           "reaches ~N µ-ops (multi-million-µop runs; "
@@ -737,46 +745,20 @@ def build_parser() -> argparse.ArgumentParser:
                      help="segment-parallel exact simulation: splice K "
                           "independently-simulated segments (bit-exact "
                           "with default full warmup)")
-    sim.add_argument("--jobs", type=int, default=None, metavar="N",
-                     help="worker processes for --segments "
-                          "(default: $REPRO_JOBS or 1)")
-    sim.add_argument("--job-timeout", type=float, default=None,
-                     metavar="S",
-                     help="per-segment deadline in seconds for "
-                          "--segments; a hung worker is killed and the "
-                          "segment retried (default: $REPRO_JOB_TIMEOUT "
-                          "or off)")
-    sim.add_argument("--retries", type=int, default=None, metavar="N",
-                     help="retry budget per segment for --segments "
-                          "(default: $REPRO_JOB_RETRIES or 2)")
     sim.set_defaults(func=_cmd_simulate)
 
     exp = sub.add_parser("experiment",
-                         help="regenerate a paper table/figure")
+                         help="regenerate a paper table/figure",
+                         parents=[fp_kind, scheduler])
     exp.add_argument("name", help="fig2|fig3|fig4|fig5|fig8|fig9|fig10|"
                                   "table1|table2|table3|legality")
     exp.add_argument("--workloads",
                      help="comma-separated subset (default: all 32)")
-    exp.add_argument("--fp-kind", choices=["tournament", "tage", "local"],
-                     help="fusion predictor organization for Helios sweeps")
-    exp.add_argument("--jobs", type=int, default=None, metavar="N",
-                     help="simulate cache misses across N worker "
-                          "processes (default: $REPRO_JOBS or 1)")
     exp.add_argument("--cache-dir", metavar="DIR",
                      help="persistent result cache directory "
                           "(default: $REPRO_CACHE_DIR or ~/.cache/repro)")
     exp.add_argument("--no-cache", action="store_true",
                      help="skip the persistent result cache entirely")
-    exp.add_argument("--job-timeout", type=float, default=None,
-                     metavar="S",
-                     help="per-job deadline in seconds; a hung worker "
-                          "is killed and the job retried (default: "
-                          "$REPRO_JOB_TIMEOUT or off — off keeps "
-                          "existing flows bit-exact)")
-    exp.add_argument("--retries", type=int, default=None, metavar="N",
-                     help="retry budget per failed job, with capped "
-                          "deterministic exponential backoff (default: "
-                          "$REPRO_JOB_RETRIES or 2)")
     exp.add_argument("--report-json", metavar="FILE",
                      help="write the sweep execution report (per-job "
                           "attempts, durations, failure classes) here — "
@@ -814,17 +796,14 @@ def build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(func=_cmd_trace)
 
     bench = sub.add_parser(
-        "bench", help="wall-clock perf harness -> BENCH_pipeline.json")
+        "bench", help="wall-clock perf harness -> BENCH_pipeline.json",
+        parents=[max_uops])
     bench.add_argument("--quick", action="store_true",
                        help="CI smoke subset (3 workloads, 2 modes)")
     bench.add_argument("--workloads",
                        help="comma-separated subset (default: "
                             "$REPRO_BENCH_WORKLOADS or the "
                             "representative 12)")
-    bench.add_argument("--max-uops", type=int, default=None, metavar="N",
-                       help="dynamic µ-op cap per trace (default %d, "
-                            "repro.config.DEFAULT_MAX_UOPS)"
-                            % DEFAULT_MAX_UOPS)
     bench.add_argument("--sample", action="store_true",
                        help="also benchmark sampled simulation on "
                             "scaled traces: speedup vs full detail + "
@@ -905,16 +884,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile", help="cProfile one pipeline run: host time by stage, "
-                        "hottest functions, top-down CPI buckets")
+                        "hottest functions, top-down CPI buckets",
+        parents=[fp_kind, max_uops])
     profile.add_argument("workload")
     profile.add_argument("--mode", help="configuration (default: Helios)")
-    profile.add_argument("--fp-kind",
-                         choices=["tournament", "tage", "local"],
-                         help="fusion predictor organization for Helios")
-    profile.add_argument("--max-uops", type=int, default=None, metavar="N",
-                         help="dynamic µ-op cap per trace (default %d, "
-                              "repro.config.DEFAULT_MAX_UOPS)"
-                              % DEFAULT_MAX_UOPS)
     profile.add_argument("--top", type=int, default=15, metavar="N",
                          help="hottest functions to list (default 15)")
     profile.add_argument("--pstats-out", metavar="FILE",
@@ -925,35 +898,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     debug = sub.add_parser(
         "debug", help="observability deep-dive: top-down CPI breakdown, "
-                      "occupancy report, pipeline event trace")
+                      "occupancy report, pipeline event trace",
+        parents=[fp_kind, max_uops])
     debug.add_argument("workload")
     debug.add_argument("--mode", help="configuration (default: Helios)")
-    debug.add_argument("--fp-kind", choices=["tournament", "tage", "local"],
-                       help="fusion predictor organization for Helios")
     debug.add_argument("--events-out", metavar="FILE",
                        help="write the Chrome trace-event JSON here "
                             "(loadable in Perfetto)")
     debug.add_argument("--ring", type=int, default=None, metavar="N",
                        help="event ring capacity (default 65536; keeps "
                             "the last N events)")
-    debug.add_argument("--max-uops", type=int, default=None, metavar="N",
-                       help="dynamic µ-op cap per trace (default %d, "
-                              "repro.config.DEFAULT_MAX_UOPS)"
-                              % DEFAULT_MAX_UOPS)
     debug.set_defaults(func=_cmd_debug)
 
     analyze = sub.add_parser(
         "analyze", help="fusion-legality report + differential checker: "
                         "prove every committed fused pair legal and the "
-                        "committed state bit-exact")
+                        "committed state bit-exact",
+        parents=[max_uops])
     analyze.add_argument("workloads",
                          help="comma-separated workload name(s)")
     analyze.add_argument("--mode",
                          help="one configuration (default: all six)")
-    analyze.add_argument("--max-uops", type=int, default=None, metavar="N",
-                         help="dynamic µ-op cap per trace (default %d, "
-                              "repro.config.DEFAULT_MAX_UOPS)"
-                              % DEFAULT_MAX_UOPS)
     analyze.add_argument("--no-sanitize", action="store_true",
                          help="skip the per-cycle µ-arch sanitizer "
                               "(faster; legality checks still run)")
@@ -973,7 +938,8 @@ def build_parser() -> argparse.ArgumentParser:
     static = sub.add_parser(
         "static", help="static fusion-opportunity analyzer: CFG + "
                        "dataflow candidates per PC pair, cross-checked "
-                       "against the dynamic oracle and the pipeline")
+                       "against the dynamic oracle and the pipeline",
+        parents=[max_uops])
     static.add_argument("workloads",
                         help="comma-separated workload name(s), or 'all'")
     static.add_argument("--mode",
@@ -982,9 +948,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "and/or a fusion mode such as 'helios' "
                              "(that pipeline's committed pairs); "
                              "default oracle,helios")
-    static.add_argument("--max-uops", type=int, default=None, metavar="N",
-                        help="dynamic µ-op cap per trace (default %d)"
-                             % DEFAULT_MAX_UOPS)
     static.add_argument("--path-budget", type=int,
                         default=DEFAULT_PATH_BUDGET, metavar="N",
                         help="abstract-execution visit budget per "

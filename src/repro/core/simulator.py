@@ -16,33 +16,11 @@ from typing import Dict, Iterable, Optional, Union
 
 from repro.config import FusionMode, ProcessorConfig
 from repro.core.results import SimResult
-from repro.fusion.oracle import cached_oracle_pairs, predictive_pair_set
 from repro.isa.interp import run_program
 from repro.isa.program import Program
 from repro.isa.trace import Trace
 from repro.obs import PipelineObserver, observer_from_environment
 from repro.pipeline.core import PipelineCore
-
-
-def count_eligible_predictive_pairs(trace: Trace,
-                                    config: ProcessorConfig) -> int:
-    """Pairs that *need* a prediction: NCSF pairs plus CSF pairs that a
-    static decode window cannot see (different base register or
-    non-contiguous addresses).  This is the Table III coverage
-    denominator.
-    """
-    return len(predictive_pair_set(
-        trace, granularity=config.cache_access_granularity,
-        max_distance=config.max_fusion_distance))
-
-
-def _shared_oracle_pairs(trace: Trace, config: ProcessorConfig):
-    """The per-trace cached oracle pairing, for modes that consume it."""
-    if config.fusion_mode in (FusionMode.HELIOS, FusionMode.ORACLE):
-        return cached_oracle_pairs(
-            trace, granularity=config.cache_access_granularity,
-            max_distance=config.max_fusion_distance)
-    return None
 
 
 def simulate(workload: Union[Program, Trace],
@@ -62,9 +40,7 @@ def simulate(workload: Union[Program, Trace],
     trace = run_program(workload) if isinstance(workload, Program) else workload
     if observer is None:
         observer = observer_from_environment(config.trace_events)
-    core = PipelineCore(trace, config,
-                        oracle_pairs=_shared_oracle_pairs(trace, config),
-                        observer=observer)
+    core = PipelineCore(trace, config, observer=observer)
     stats = core.run(max_cycles=max_cycles)
     # The core already computed the oracle prediction-needing pair set
     # for its coverage accounting; its size is the coverage denominator.

@@ -41,7 +41,6 @@ from repro.experiments.runner import (
     clear_cache,
     get_result,
     get_segmented_result,
-    last_sweep_report,
     run_suite,
     run_suite_with_report,
 )
@@ -55,7 +54,7 @@ __all__ = [
     "figure2", "figure3", "figure4", "figure5",
     "figure8", "figure9", "figure10",
     "clear_cache", "get_result", "get_segmented_result",
-    "last_sweep_report", "preload_traces",
+    "preload_traces",
     "run_suite", "run_suite_with_report",
     "legality_census",
     "table1", "table2", "table3",

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.legality import analyze_trace_legality
 from repro.config import ProcessorConfig
-from repro.experiments.figures import ExperimentResult, _names
+from repro.experiments.figures import ExperimentResult, selected_workloads
 from repro.fusion.oracle import cached_oracle_pairs
 from repro.stats import amean
 from repro.workloads import build_workload
@@ -26,7 +26,7 @@ def legality_census(workloads: Optional[Sequence[str]] = None,
     """Per-workload legal-pair counts and the dominant rejection."""
     cfg = config or ProcessorConfig()
     rows: List[List] = []
-    for name in _names(workloads):
+    for name in selected_workloads(workloads):
         trace = build_workload(name)
         report = analyze_trace_legality(
             trace, granularity=cfg.cache_access_granularity,

@@ -16,10 +16,13 @@ outcomes are collected in job order.
 Capture-once/replay-many (the paper's Spike methodology): before any
 workers start, the engine loads each distinct workload trace exactly
 once — in-process memo → persistent trace store → cold interpretation
-— and pre-extracts the shared oracle pair set for modes that consume
-it.  ``fork`` workers then inherit the loaded traces and pair sets
-through copy-on-write; ``spawn`` workers replay the serialized traces
-from the store instead of re-interpreting.
+— and warms the per-trace oracle pair cache for modes that consume
+the pairing.  Each :class:`~repro.pipeline.core.PipelineCore` resolves
+its own pairs through that cache (see
+:func:`~repro.pipeline.core.shared_oracle_pairs`), so every job on one
+trace shares a single pairing pass.  ``fork`` workers then inherit the
+loaded traces and pair sets through copy-on-write; ``spawn`` workers
+replay the serialized traces from the store instead of re-interpreting.
 
 Lookup order per job: process-local memo → persistent disk cache →
 simulate.  Both layers key on the *full* configuration fingerprint, so
@@ -49,7 +52,7 @@ from repro.experiments.faults import (
     maybe_inject_fault,
     run_jobs,
 )
-from repro.fusion.oracle import cached_oracle_pairs
+from repro.pipeline.core import shared_oracle_pairs
 from repro.workloads import build_workload, ensure_known, workload_names
 
 #: Environment variable supplying the default worker count
@@ -127,9 +130,7 @@ def _resolve_segment_trace(spec: Tuple[str, str, Optional[int]]):
     if kind == "scaled":
         from repro.sampling.scale import build_scaled_workload
         return build_scaled_workload(name, arg)
-    if arg:
-        return build_workload(name, max_uops=arg)
-    return build_workload(name)
+    return build_workload(name, max_uops=arg)
 
 
 def _execute_segment_job(job, fault_token: Optional[str] = None
@@ -178,8 +179,8 @@ def preload_traces(specs: Iterable[Tuple[str, ProcessorConfig,
     """Capture every distinct workload trace exactly once, and
     pre-extract the oracle pair sets fusion-consuming jobs will need.
 
-    ``specs`` is ``(name, config, max_uops)`` — ``max_uops=None``
-    means the catalog default capture.  Run this in the parent before
+    ``specs`` is ``(name, config, max_uops)`` — ``max_uops`` ``None``
+    or ``0`` means the catalog default capture.  Run this in the parent before
     any worker pool exists: ``fork`` workers then inherit the loaded
     traces/pair sets via copy-on-write and replay instead of
     re-interpreting, while ``spawn`` workers reload the same traces
@@ -189,14 +190,7 @@ def preload_traces(specs: Iterable[Tuple[str, ProcessorConfig,
     engine and the simulation service's batch executor.
     """
     for name, config, max_uops in specs:
-        if max_uops is not None:
-            trace = build_workload(name, max_uops=max_uops)
-        else:
-            trace = build_workload(name)
-        if config.fusion_mode in (FusionMode.HELIOS, FusionMode.ORACLE):
-            cached_oracle_pairs(
-                trace, granularity=config.cache_access_granularity,
-                max_distance=config.max_fusion_distance)
+        shared_oracle_pairs(build_workload(name, max_uops=max_uops), config)
 
 
 class SweepEngine:

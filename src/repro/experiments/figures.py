@@ -46,11 +46,11 @@ class ExperimentResult:
         return [row[index] for row in self.rows]
 
 
-def _names(workloads: Optional[Sequence[str]]) -> List[str]:
+def selected_workloads(workloads: Optional[Sequence[str]]) -> List[str]:
     return list(workloads) if workloads is not None else workload_names()
 
 
-def _census(name: str, config: Optional[ProcessorConfig]):
+def workload_census(name: str, config: Optional[ProcessorConfig]):
     """Oracle census of one workload under one configuration's
     granularity / fusion-distance parameters."""
     cfg = config or ProcessorConfig()
@@ -70,8 +70,8 @@ def figure2(workloads: Optional[Sequence[str]] = None,
     Others-dominated exceptions.
     """
     rows = []
-    for name in _names(workloads):
-        analysis = _census(name, config)
+    for name in selected_workloads(workloads):
+        analysis = workload_census(name, config)
         rows.append([
             name,
             100.0 * analysis.memory_fused_uop_fraction,
@@ -95,7 +95,7 @@ def figure3(workloads: Optional[Sequence[str]] = None,
     only susan degrades visibly with memory-only fusion.
     """
     rows = []
-    for name in _names(workloads):
+    for name in selected_workloads(workloads):
         base = get_result(name, FusionMode.NONE, config).ipc
         memory_only = get_result(name, FusionMode.CSF_SBR, config).ipc
         all_idioms = get_result(name, FusionMode.RISCV_PP, config).ipc
@@ -124,8 +124,8 @@ def figure4(workloads: Optional[Sequence[str]] = None,
     (SameLine + NextLine).
     """
     rows = []
-    for name in _names(workloads):
-        analysis = _census(name, config)
+    for name in selected_workloads(workloads):
+        analysis = workload_census(name, config)
         histogram = analysis.contiguity_histogram()
         total = max(1, analysis.total_uops)
         rows.append([name] + [100.0 * 2 * histogram[cat] / total
@@ -150,8 +150,8 @@ def figure5(workloads: Optional[Sequence[str]] = None,
     head-tail distance is 10.5 µ-ops.
     """
     rows = []
-    for name in _names(workloads):
-        analysis = _census(name, config)
+    for name in selected_workloads(workloads):
+        analysis = workload_census(name, config)
         total = max(1, analysis.total_uops)
         rows.append([
             name,
@@ -181,7 +181,7 @@ def figure8(workloads: Optional[Sequence[str]] = None,
     a higher NCSF share (Helios's training favours CSF).
     """
     rows = []
-    for name in _names(workloads):
+    for name in selected_workloads(workloads):
         helios = get_result(name, FusionMode.HELIOS, config)
         oracle = get_result(name, FusionMode.ORACLE, config)
         rows.append([
@@ -211,7 +211,7 @@ def figure9(workloads: Optional[Sequence[str]] = None,
     every cycle (sum over all buckets == cycles * commit_width).
     """
     rows = []
-    for name in _names(workloads):
+    for name in selected_workloads(workloads):
         base = get_result(name, FusionMode.NONE, config)
         helios = get_result(name, FusionMode.HELIOS, config)
         oracle = get_result(name, FusionMode.ORACLE, config)
@@ -249,7 +249,7 @@ def cpi_accounting(workloads: Optional[Sequence[str]] = None,
     branch+fusion repair / drain), under NoFusion and Helios.
     """
     rows = []
-    for name in _names(workloads):
+    for name in selected_workloads(workloads):
         row = [name]
         for mode in _CPI_MODES:
             result = get_result(name, mode, config)
@@ -290,7 +290,7 @@ def figure10(workloads: Optional[Sequence[str]] = None,
     +7 %, Helios +14.2 %, OracleFusion +16.3 %.
     """
     rows = []
-    for name in _names(workloads):
+    for name in selected_workloads(workloads):
         base = get_result(name, FusionMode.NONE, config).ipc
         rows.append([name] + [get_result(name, mode, config).ipc / base
                               for mode in _FIG10_MODES])

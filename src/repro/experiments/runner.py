@@ -30,11 +30,6 @@ from repro.experiments.faults import SweepReport
 #: repeated figure/table calls in one process never re-read the disk.
 _MEMO: Dict[str, SimResult] = {}
 
-#: Execution report of the most recent sweep run through this façade
-#: (set even when the sweep raises, so failure post-mortems can reach
-#: the per-job attempt history).
-_LAST_REPORT: Optional[SweepReport] = None
-
 
 def _engine(jobs: Optional[int] = None,
             cache_dir: Optional[str] = None,
@@ -45,21 +40,6 @@ def _engine(jobs: Optional[int] = None,
     return SweepEngine(jobs=jobs, cache=cache, use_cache=use_cache,
                        memo=_MEMO, job_timeout=job_timeout,
                        retries=retries)
-
-
-def last_sweep_report() -> Optional[SweepReport]:
-    """The :class:`SweepReport` of the most recent sweep, if any.
-
-    This is a *CLI-only convenience*: it reads a module-level global
-    that every sweep run through this façade overwrites, so two sweeps
-    interleaved in one process (the simulation service, or any
-    threaded caller) clobber each other's reports here.  Concurrent
-    callers must use :func:`run_suite_with_report` (or hold their own
-    :class:`~repro.experiments.engine.SweepEngine` and read its
-    ``last_report``), which threads the report through the return
-    value instead of this global.
-    """
-    return _LAST_REPORT
 
 
 def get_result(workload: str, mode: FusionMode,
@@ -87,15 +67,10 @@ def get_segmented_result(workload: str, mode: FusionMode,
     in-process memo only; the persistent disk cache holds exclusively
     serial full-detail results.
     """
-    global _LAST_REPORT
     engine = _engine(jobs=jobs, job_timeout=job_timeout, retries=retries)
-    try:
-        return engine.segmented(
-            workload, mode, segments, warmup=warmup, config=config,
-            max_uops=max_uops, scale_to=scale_to)
-    finally:
-        if engine.last_report is not None:
-            _LAST_REPORT = engine.last_report
+    return engine.segmented(
+        workload, mode, segments, warmup=warmup, config=config,
+        max_uops=max_uops, scale_to=scale_to)
 
 
 def run_suite_with_report(modes: Iterable[FusionMode],
@@ -111,21 +86,15 @@ def run_suite_with_report(modes: Iterable[FusionMode],
     """Like :func:`run_suite`, returning ``(results, report)``.
 
     ``report`` is this sweep's own :class:`SweepReport` (``None`` when
-    every job was served from cache and no scheduler ran).  Unlike
-    :func:`last_sweep_report`, the returned report cannot be clobbered
-    by another sweep running concurrently in the same process — this
-    is the entry point for the simulation service and any other
-    multi-request caller.  The CLI-convenience global is still
-    refreshed so ``--report-json`` flows keep working.
+    every job was served from cache and no scheduler ran).  It belongs
+    to this call alone, so sweeps running concurrently in one process
+    cannot clobber each other's reports.  A failed sweep raises
+    :class:`~repro.experiments.engine.SweepJobError`, whose ``report``
+    carries the same record.
     """
-    global _LAST_REPORT
     engine = _engine(jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
                      job_timeout=job_timeout, retries=retries)
-    try:
-        results = engine.sweep(modes, workloads=workloads, config=config)
-    finally:
-        if engine.last_report is not None:
-            _LAST_REPORT = engine.last_report
+    results = engine.sweep(modes, workloads=workloads, config=config)
     return results, engine.last_report
 
 
@@ -143,10 +112,8 @@ def run_suite(modes: Iterable[FusionMode],
     ``jobs > 1`` fans cache misses across worker processes; the result
     is bit-identical to the sequential (default) run.  ``job_timeout``
     and ``retries`` feed the fault-tolerant scheduler (see
-    :mod:`repro.experiments.faults`); the execution report of the run
-    is retrievable afterwards via :func:`last_sweep_report` — or, for
-    concurrent callers, returned directly by
-    :func:`run_suite_with_report`.
+    :mod:`repro.experiments.faults`); :func:`run_suite_with_report`
+    also returns the run's execution report.
     """
     results, _ = run_suite_with_report(
         modes, workloads=workloads, config=config, jobs=jobs,

@@ -7,7 +7,11 @@ from typing import Optional, Sequence
 
 from repro.config import FusionMode, ProcessorConfig
 from repro.core.storage import helios_storage_budget
-from repro.experiments.figures import ExperimentResult, _census, _names
+from repro.experiments.figures import (
+    ExperimentResult,
+    selected_workloads,
+    workload_census,
+)
 from repro.experiments.runner import get_result
 from repro.fusion.idioms import IDIOMS
 from repro.stats import amean
@@ -20,8 +24,8 @@ def table1(workloads: Optional[Sequence[str]] = None,
     pairing idioms — the paper's bold rows — flagged).
     """
     counts = {idiom.name: 0 for idiom in IDIOMS}
-    for name in _names(workloads):
-        analysis = _census(name, config)
+    for name in selected_workloads(workloads):
+        analysis = workload_census(name, config)
         for pair in analysis.memory_pairs + analysis.other_pairs:
             counts[pair.idiom] = counts.get(pair.idiom, 0) + 1
     rows = [[idiom.name, "yes" if idiom.is_memory else "no",
@@ -99,7 +103,7 @@ def table3(workloads: Optional[Sequence[str]] = None,
     rows = []
     coverages = []
     accuracies = []
-    for name in _names(workloads):
+    for name in selected_workloads(workloads):
         result = get_result(name, FusionMode.HELIOS, config)
         if result.eligible_predictive_pairs:
             coverage = "%.2f" % result.fp_coverage_pct

@@ -16,7 +16,7 @@ from repro.isa.program import INSTRUCTION_BYTES, Program
 from repro.isa.registers import NUM_ARCH_REGS
 from repro.isa.trace import MicroOp, Trace
 
-_MASK64 = (1 << 64) - 1
+MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 _PAGE_SHIFT = 12
 _PAGE_SIZE = 1 << _PAGE_SHIFT
@@ -40,11 +40,11 @@ def _signed32(value: int) -> int:
 
 
 def _sext32(value: int) -> int:
-    return _signed32(value) & _MASK64
+    return _signed32(value) & MASK64
 
 
 def _bits_to_double(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<Q", bits & _MASK64))[0]
+    return struct.unpack("<d", struct.pack("<Q", bits & MASK64))[0]
 
 
 def _double_to_bits(value: float) -> int:
@@ -146,7 +146,7 @@ class Interpreter:
 
     def _write_reg(self, index: Optional[int], value: int) -> None:
         if index is not None and index != 0:
-            self.regs[index] = value & _MASK64
+            self.regs[index] = value & MASK64
 
     def _read(self, index: Optional[int]) -> int:
         return self.regs[index] if index is not None else 0
@@ -172,13 +172,13 @@ class Interpreter:
         next_index = index + 1
 
         if opclass is OpClass.LOAD or opclass is OpClass.STORE:
-            addr = (regs[inst.rs1] + inst.imm) & _MASK64
+            addr = (regs[inst.rs1] + inst.imm) & MASK64
             if opclass is OpClass.LOAD:
                 value = self.memory.read(addr, inst.mem_size)
                 if mnem in SIGNED_LOADS and inst.mem_size < 8:
                     sign_bit = 1 << (8 * inst.mem_size - 1)
                     if value & sign_bit:
-                        value |= _MASK64 ^ ((1 << (8 * inst.mem_size)) - 1)
+                        value |= MASK64 ^ ((1 << (8 * inst.mem_size)) - 1)
                 self._write_reg(inst.rd, value)
             else:
                 self.memory.write(addr, regs[inst.rs2], inst.mem_size)
@@ -201,7 +201,7 @@ class Interpreter:
             if mnem == "jal":
                 target = inst.target
             else:  # jalr
-                target_pc = (regs[inst.rs1] + inst.imm) & _MASK64 & ~1
+                target_pc = (regs[inst.rs1] + inst.imm) & MASK64 & ~1
                 if target_pc == 0:
                     self.halted = True  # convention: return to 0 halts
                     self.uops.append(MicroOp(len(self.uops), inst, taken=True))
@@ -229,10 +229,10 @@ class Interpreter:
     def _execute_compute(self, inst: Instruction, mnem: str) -> None:
         regs = self.regs
         a = regs[inst.rs1] if inst.rs1 is not None else 0
-        b = regs[inst.rs2] if inst.rs2 is not None else inst.imm & _MASK64
-        handler = _COMPUTE_OPS.get(mnem)
+        b = regs[inst.rs2] if inst.rs2 is not None else inst.imm & MASK64
+        handler = COMPUTE_OPS.get(mnem)
         if handler is not None:
-            self._write_reg(inst.rd, handler(a, b, inst.imm, inst) & _MASK64)
+            self._write_reg(inst.rd, handler(a, b, inst.imm, inst) & MASK64)
             return
         if mnem[0] == "f":
             self._execute_fp(inst, mnem)
@@ -261,10 +261,10 @@ def _divide(mnem: str, a: int, b: int) -> int:
     wordy = mnem.endswith("w")
     unsigned = "u" in mnem[3:] or mnem in ("divu", "remu", "divuw", "remuw")
     if wordy:
-        a = (a & _MASK32) if unsigned else _signed32(a) & _MASK64
-        b = (b & _MASK32) if unsigned else _signed32(b) & _MASK64
-    lhs = a if unsigned else _signed(a & _MASK64)
-    rhs = b if unsigned else _signed(b & _MASK64)
+        a = (a & _MASK32) if unsigned else _signed32(a) & MASK64
+        b = (b & _MASK32) if unsigned else _signed32(b) & MASK64
+    lhs = a if unsigned else _signed(a & MASK64)
+    rhs = b if unsigned else _signed(b & MASK64)
     is_rem = mnem.startswith("rem")
     if rhs == 0:
         result = lhs if is_rem else -1  # RISC-V divide-by-zero semantics
@@ -273,7 +273,7 @@ def _divide(mnem: str, a: int, b: int) -> int:
         if (lhs < 0) != (rhs < 0):
             quotient = -quotient
         result = lhs - quotient * rhs if is_rem else quotient
-    return _sext32(result) if wordy else result & _MASK64
+    return _sext32(result) if wordy else result & MASK64
 
 
 #: Branch comparators: mnemonic -> (rs1_value, rs2_value) -> taken.
@@ -288,17 +288,17 @@ _BRANCH_OPS = {
 
 #: Integer compute semantics: mnemonic -> (a, b, imm, inst) -> result.
 #: ``a`` is the rs1 value (0 if absent); ``b`` is the rs2 value, or
-#: ``imm & _MASK64`` for immediate forms.  The caller masks the result.
-_COMPUTE_OPS = {
+#: ``imm & MASK64`` for immediate forms.  The caller masks the result.
+COMPUTE_OPS = {
     "add": lambda a, b, imm, inst: a + b,
     "addi": lambda a, b, imm, inst: a + imm,
     "sub": lambda a, b, imm, inst: a - b,
     "and": lambda a, b, imm, inst: a & b,
-    "andi": lambda a, b, imm, inst: a & (imm & _MASK64),
+    "andi": lambda a, b, imm, inst: a & (imm & MASK64),
     "or": lambda a, b, imm, inst: a | b,
-    "ori": lambda a, b, imm, inst: a | (imm & _MASK64),
+    "ori": lambda a, b, imm, inst: a | (imm & MASK64),
     "xor": lambda a, b, imm, inst: a ^ b,
-    "xori": lambda a, b, imm, inst: a ^ (imm & _MASK64),
+    "xori": lambda a, b, imm, inst: a ^ (imm & MASK64),
     "sll": lambda a, b, imm, inst: a << (b & 63),
     "slli": lambda a, b, imm, inst: a << (imm & 63),
     "srl": lambda a, b, imm, inst: a >> (b & 63),
@@ -308,7 +308,7 @@ _COMPUTE_OPS = {
     "slt": lambda a, b, imm, inst: 1 if _signed(a) < _signed(b) else 0,
     "slti": lambda a, b, imm, inst: 1 if _signed(a) < imm else 0,
     "sltu": lambda a, b, imm, inst: 1 if a < b else 0,
-    "sltiu": lambda a, b, imm, inst: 1 if a < (imm & _MASK64) else 0,
+    "sltiu": lambda a, b, imm, inst: 1 if a < (imm & MASK64) else 0,
     "addw": lambda a, b, imm, inst: _sext32(a + b),
     "addiw": lambda a, b, imm, inst: _sext32(a + imm),
     "subw": lambda a, b, imm, inst: _sext32(a - b),
@@ -328,7 +328,7 @@ _COMPUTE_OPS = {
 }
 for _name in ("div", "divw", "divu", "divuw",
               "rem", "remw", "remu", "remuw"):
-    _COMPUTE_OPS[_name] = (
+    COMPUTE_OPS[_name] = (
         lambda m: lambda a, b, imm, inst: _divide(m, a, b))(_name)
 del _name
 
@@ -355,7 +355,7 @@ def _fp_compare(op):
 
 def _fp_cvt_to_int(interp: "Interpreter", inst: Instruction) -> None:
     interp._write_reg(
-        inst.rd, int(_bits_to_double(interp.regs[inst.rs1])) & _MASK64)
+        inst.rd, int(_bits_to_double(interp.regs[inst.rs1])) & MASK64)
 
 
 #: FP semantics: mnemonic -> (interpreter, inst) -> None (writes rd).

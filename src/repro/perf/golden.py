@@ -30,7 +30,7 @@ import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.config import FusionMode, ProcessorConfig
-from repro.pipeline.core import PipelineCore
+from repro.core.simulator import simulate
 from repro.workloads import build_workload, workload_names
 
 #: µ-op budget for golden runs.  Small by design (see module docstring);
@@ -51,8 +51,7 @@ def snapshot_entry(workload: str, mode: FusionMode,
                    max_uops: int = GOLDEN_MAX_UOPS) -> Dict[str, object]:
     """One golden entry: run ``workload`` under ``mode`` and pin it."""
     trace = build_workload(workload, max_uops=max_uops)
-    config = ProcessorConfig().with_mode(mode)
-    stats = PipelineCore(trace, config).run()
+    stats = simulate(trace, ProcessorConfig().with_mode(mode)).stats
     return {"cycles": stats.cycles, "stats_sha": stats_sha(stats.to_dict())}
 
 

@@ -467,11 +467,7 @@ def run_bench(workloads: Optional[List[str]] = None,
 
             for mode in modes:
                 full = base.with_mode(mode)
-                core = PipelineCore(
-                    trace, full,
-                    oracle_pairs=pairs if mode in (FusionMode.HELIOS,
-                                                   FusionMode.ORACLE)
-                    else None)
+                core = PipelineCore(trace, full, oracle_pairs=pairs)
                 stats, run_s = _timed(core.run)
                 row["modes"][mode.value] = {
                     "run_s": round(run_s, 4),
@@ -482,12 +478,8 @@ def run_bench(workloads: Optional[List[str]] = None,
             per_workload[name] = row
 
             if name == obs_name:
-                obs_pairs = (pairs if obs_mode in (FusionMode.HELIOS,
-                                                   FusionMode.ORACLE)
-                             else None)
                 observability = measure_obs_overhead(
-                    trace, base.with_mode(obs_mode),
-                    oracle_pairs=obs_pairs)
+                    trace, base.with_mode(obs_mode), oracle_pairs=pairs)
                 observability["workload"] = name
                 observability["mode"] = obs_mode.value
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.config import FusionMode, ProcessorConfig
-from repro.fusion.oracle import oracle_memory_pairs, predictive_pairs_from
+from repro.fusion.oracle import cached_oracle_pairs, predictive_pairs_from
 from repro.fusion.taxonomy import span
 from repro.fusion.window import ConsecutiveFusionWindow
 from repro.isa.instructions import EXECUTION_LATENCY, OpClass
@@ -214,15 +214,34 @@ class CoreStats:
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
+def shared_oracle_pairs(trace: Trace, config: ProcessorConfig):
+    """The unrestricted oracle memory pairing a core under ``config``
+    consumes, or ``None`` in modes that never read it.
+
+    Helios uses it as the Table III coverage denominator, OracleFusion
+    fuses by it.  The pairing comes from the per-trace cache
+    (:func:`repro.fusion.oracle.cached_oracle_pairs`), so every core
+    built on one :class:`~repro.isa.trace.Trace` object, in either
+    mode, shares a single pairing pass.
+    """
+    if not config.fusion_mode.non_consecutive:
+        return None
+    return cached_oracle_pairs(
+        trace, granularity=config.cache_access_granularity,
+        max_distance=config.max_fusion_distance)
+
+
 class PipelineCore:
     """One simulated core bound to one dynamic trace.
 
-    ``oracle_pairs`` optionally supplies the unrestricted oracle memory
-    pairing for ``(trace, config.cache_access_granularity,
-    config.max_fusion_distance)`` — computed once per trace (see
-    :func:`repro.fusion.oracle.cached_oracle_pairs`) and shared across
-    the Helios and Oracle configurations of a sweep.  When omitted, the
-    core derives it itself, so direct construction behaves as before.
+    The core resolves the oracle memory pairing its mode needs by
+    itself, through :func:`shared_oracle_pairs` on the caller's
+    ``trace`` object, so the Helios and Oracle configurations of a
+    sweep share one pairing pass per trace.  Pass ``oracle_pairs`` only
+    to supply something different: pairs already computed for the same
+    trace, or ``()`` to skip the Helios coverage census (the census
+    never feeds back into timing).  Modes other than Helios and Oracle
+    ignore the argument.
     """
 
     def __init__(self, trace: Trace, config: ProcessorConfig,
@@ -235,6 +254,8 @@ class PipelineCore:
         self.trace = list(trace)
         self.config = config
         mode = config.fusion_mode
+        if oracle_pairs is None:
+            oracle_pairs = shared_oracle_pairs(trace, config)
 
         # Observability: optional event trace / occupancy observer (see
         # repro.obs) and the always-cheap top-down slot accounting.
@@ -326,20 +347,12 @@ class PipelineCore:
         self._eligible_pair_by_seq: Dict[int, Tuple[int, int]] = {}
         self._credited_pairs: Set[Tuple[int, int]] = set()
         if mode is FusionMode.HELIOS:
-            if oracle_pairs is None:
-                oracle_pairs = oracle_memory_pairs(
-                    self.trace, granularity=config.cache_access_granularity,
-                    max_distance=config.max_fusion_distance)
             self.predictive_pairs = predictive_pairs_from(oracle_pairs)
             for pair in self.predictive_pairs:
                 self._eligible_pair_by_seq[pair[0]] = pair
                 self._eligible_pair_by_seq[pair[1]] = pair
         self._oracle_tail_to_head: Dict[int, int] = {}
         if mode is FusionMode.ORACLE:
-            if oracle_pairs is None:
-                oracle_pairs = oracle_memory_pairs(
-                    self.trace, granularity=config.cache_access_granularity,
-                    max_distance=config.max_fusion_distance)
             self._oracle_tail_to_head = {
                 p.tail_seq: p.head_seq for p in oracle_pairs}
 

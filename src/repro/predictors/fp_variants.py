@@ -29,7 +29,7 @@ _LCG_ADD = 1442695040888963407
 _MASK64 = (1 << 64) - 1
 
 
-class _Dice:
+class Dice:
     """A tiny deterministic PRNG for probabilistic counter updates."""
 
     def __init__(self, seed: int = 0x9E3779B9):
@@ -86,7 +86,7 @@ class TageFusionPredictor:
         self._tagged_mask = tagged_entries - 1
         self._tag_mask = (1 << tag_bits) - 1
         self.probabilistic = probabilistic
-        self._dice = _Dice()
+        self._dice = Dice()
         self.stats = FusionPredictorStats()
 
     @property
@@ -227,7 +227,7 @@ class LocalHistoryFusionPredictor:
         self.confidence_max = confidence_max
         self.max_distance = max_distance
         self.probabilistic = probabilistic
-        self._dice = _Dice()
+        self._dice = Dice()
         self.stats = FusionPredictorStats()
 
     @property

@@ -137,8 +137,8 @@ class FusionPredictor:
         self.max_distance = max_distance
         bump = None
         if probabilistic:
-            from repro.predictors.fp_variants import _Dice
-            dice = _Dice()
+            from repro.predictors.fp_variants import Dice
+            dice = Dice()
             bump = lambda: dice.one_in(2)  # noqa: E731
         self.local = _Table(sets, ways, tag_bits, confidence_bump=bump)
         self.gshare = _Table(sets, ways, tag_bits, confidence_bump=bump)

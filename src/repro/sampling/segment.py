@@ -32,9 +32,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.config import FusionMode, ProcessorConfig
+from repro.config import ProcessorConfig
 from repro.core.results import SimResult
-from repro.fusion.oracle import oracle_memory_pairs
 from repro.isa.trace import Trace
 from repro.pipeline.core import DRAIN_HORIZON, CoreStats, PipelineCore
 
@@ -95,14 +94,6 @@ def plan_segments(total: int, segments: int,
     return plans
 
 
-def _local_oracle_pairs(sub: Trace, config: ProcessorConfig):
-    if config.fusion_mode in (FusionMode.HELIOS, FusionMode.ORACLE):
-        return oracle_memory_pairs(
-            sub, granularity=config.cache_access_granularity,
-            max_distance=config.max_fusion_distance)
-    return None
-
-
 def simulate_segment(sub: Trace, config: ProcessorConfig,
                      measure_from: int, measure_to: int) -> Dict:
     """Simulate one sub-trace; return the measured region's deltas.
@@ -113,8 +104,7 @@ def simulate_segment(sub: Trace, config: ProcessorConfig,
     denominators (memory µ-ops, prediction-needing oracle pairs whose
     head lies in the measured region).
     """
-    core = PipelineCore(sub, config,
-                        oracle_pairs=_local_oracle_pairs(sub, config))
+    core = PipelineCore(sub, config)
     if measure_from > 0:
         core.run(until_instructions=measure_from)
     before = core.stats.to_dict()

@@ -1,4 +1,4 @@
-"""Long-running simulation service: server, clients, load generator.
+"""Long-running simulation service: server, client, load generator.
 
 The serving stack turns the one-shot sweep machinery into a resident
 service (DESIGN.md §4h):
@@ -11,14 +11,13 @@ service (DESIGN.md §4h):
   requests to the fault-tolerant scheduler.
 * :mod:`repro.serve.server` — the asyncio server (admission control,
   batching executor, metrics, drain) plus a background-thread host.
-* :mod:`repro.serve.client` — synchronous and asyncio clients with
+* :mod:`repro.serve.client` — synchronous client with
   reconnect/backoff and busy-retry.
 * :mod:`repro.serve.loadgen` — deterministic seeded closed-loop load
   generator with latency/tier reporting.
 """
 
 from repro.serve.client import (
-    AsyncServeClient,
     ConnectionLost,
     ServeClient,
     ServeError,
@@ -51,7 +50,7 @@ from repro.serve.protocol import (
 from repro.serve.server import BackgroundServer, SimulationServer
 
 __all__ = [
-    "AsyncServeClient", "BackgroundServer", "ConnectionLost",
+    "BackgroundServer", "ConnectionLost",
     "LRUTier", "LoadReport", "LoadSpec", "MAX_LINE_BYTES",
     "PROTOCOL_VERSION", "ProtocolError", "Request", "Response",
     "ServeClient", "ServeError", "ServeJob", "SimulationServer",

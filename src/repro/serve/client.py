@@ -1,15 +1,13 @@
-"""Clients for the simulation service.
+"""Client for the simulation service.
 
-:class:`ServeClient` is the synchronous client (plain sockets, one
-request in flight per connection) and :class:`AsyncServeClient` the
-asyncio twin.  Both speak the JSON-lines protocol of
-:mod:`repro.serve.protocol` against a unix socket (``path=``) or TCP
-(``host=``/``port=``) endpoint and share the same behaviours:
+:class:`ServeClient` is a synchronous client (plain sockets, one
+request in flight per connection).  It speaks the JSON-lines protocol
+of :mod:`repro.serve.protocol` against a unix socket (``path=``) or TCP
+(``host=``/``port=``) endpoint:
 
 * lazy connect on first request, reconnect with deterministic
   exponential backoff after a connection failure;
-* per-request timeout (:class:`TimeoutError` /
-  ``asyncio.TimeoutError``);
+* per-request timeout (:class:`TimeoutError`);
 * optional transparent retry of ``busy`` responses, honouring the
   server's advisory ``retry_after`` (``busy_retries=``);
 * convenience verbs (:meth:`simulate`, :meth:`sample`,
@@ -20,7 +18,6 @@ asyncio twin.  Both speak the JSON-lines protocol of
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import time
 from typing import Optional
@@ -69,23 +66,7 @@ def _work_request(request_id: int, verb: str, workload: str,
                    windows=windows, warmup=warmup)
 
 
-class _VerbMixin:
-    """Shared payload-or-raise handling for both clients."""
-
-    @staticmethod
-    def _payload(response: Response) -> dict:
-        if not response.ok:
-            raise ServeError(response)
-        return response.payload
-
-    @staticmethod
-    def _meta(response: Response) -> dict:
-        if not response.ok:
-            raise ServeError(response)
-        return response.meta
-
-
-class ServeClient(_VerbMixin):
+class ServeClient:
     """Synchronous JSON-lines client.
 
     Thread-compatible but not thread-safe: share one client per
@@ -170,6 +151,12 @@ class ServeClient(_VerbMixin):
             raise ConnectionLost("server closed the connection")
         return protocol.decode_response(line)
 
+    @staticmethod
+    def _payload(response: Response) -> dict:
+        if not response.ok:
+            raise ServeError(response)
+        return response.payload
+
     # ------------------------------------------------------------- public --
 
     def request(self, request: Request) -> Response:
@@ -229,130 +216,7 @@ class ServeClient(_VerbMixin):
             Request(type="drain", id=self._take_id())))
 
 
-class AsyncServeClient(_VerbMixin):
-    """Asyncio JSON-lines client (one request in flight at a time)."""
-
-    def __init__(self, *,
-                 path: Optional[str] = None,
-                 host: Optional[str] = None,
-                 port: int = 0,
-                 timeout: float = DEFAULT_TIMEOUT_S,
-                 reconnect_attempts: int = 5,
-                 busy_retries: int = 0):
-        if (path is None) == (host is None):
-            raise ValueError("connect to exactly one of path= or host=")
-        self.path = path
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.reconnect_attempts = reconnect_attempts
-        self.busy_retries = busy_retries
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._next_id = 1
-
-    async def _connect(self) -> None:
-        limit = MAX_LINE_BYTES + 1024
-        for attempt in range(self.reconnect_attempts + 1):
-            try:
-                if self.path is not None:
-                    opened = asyncio.open_unix_connection(
-                        path=self.path, limit=limit)
-                else:
-                    opened = asyncio.open_connection(
-                        host=self.host, port=self.port, limit=limit)
-                self._reader, self._writer = await asyncio.wait_for(
-                    opened, self.timeout)
-                return
-            except (OSError, asyncio.TimeoutError):
-                if attempt >= self.reconnect_attempts:
-                    raise
-                await asyncio.sleep(_backoff(attempt))
-
-    async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        self._reader = None
-        self._writer = None
-
-    async def __aenter__(self) -> "AsyncServeClient":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
-
-    async def _roundtrip(self, request: Request) -> Response:
-        if self._writer is None:
-            await self._connect()
-        try:
-            self._writer.write(protocol.encode_request(request))
-            await self._writer.drain()
-            line = await asyncio.wait_for(self._reader.readline(),
-                                          self.timeout)
-        except asyncio.TimeoutError:
-            await self.close()
-            raise
-        except (ConnectionError, OSError):
-            await self.close()
-            raise
-        if not line:
-            await self.close()
-            raise ConnectionLost("server closed the connection")
-        return protocol.decode_response(line)
-
-    async def request(self, request: Request) -> Response:
-        """Async twin of :meth:`ServeClient.request`."""
-        for attempt in range(self.busy_retries + 1):
-            response = await self._roundtrip(request)
-            if (response.ok or response.error != protocol.E_BUSY
-                    or attempt >= self.busy_retries):
-                return response
-            await asyncio.sleep(response.retry_after
-                                or _backoff(attempt))
-        raise AssertionError("unreachable")
-
-    def _take_id(self) -> int:
-        request_id = self._next_id
-        self._next_id += 1
-        return request_id
-
-    async def simulate(self, workload: str, mode: str = "",
-                       max_uops: int = 0,
-                       config: Optional[dict] = None) -> dict:
-        return self._payload(await self.request(_work_request(
-            self._take_id(), "simulate", workload, mode, max_uops,
-            config)))
-
-    async def sample(self, workload: str, mode: str = "",
-                     max_uops: int = 0, windows: int = 0,
-                     warmup: int = 0,
-                     config: Optional[dict] = None) -> dict:
-        return self._payload(await self.request(_work_request(
-            self._take_id(), "sample", workload, mode, max_uops,
-            config, windows=windows, warmup=warmup)))
-
-    async def analyze(self, workload: str, mode: str = "",
-                      max_uops: int = 0,
-                      config: Optional[dict] = None) -> dict:
-        return self._payload(await self.request(_work_request(
-            self._take_id(), "analyze", workload, mode, max_uops,
-            config)))
-
-    async def status(self) -> dict:
-        return self._payload(await self.request(
-            Request(type="status", id=self._take_id())))
-
-    async def drain(self) -> dict:
-        return self._payload(await self.request(
-            Request(type="drain", id=self._take_id())))
-
-
 __all__ = [
-    "AsyncServeClient",
     "ConnectionLost",
     "ProtocolError",
     "ServeClient",

@@ -108,12 +108,6 @@ def disk_cacheable(job: ServeJob) -> bool:
     return job.type == "simulate" and job.max_uops == 0
 
 
-def _trace_for(job: ServeJob):
-    if job.max_uops:
-        return build_workload(job.workload, max_uops=job.max_uops)
-    return build_workload(job.workload)
-
-
 def execute_serve_job(job: ServeJob,
                       fault_token: Optional[str] = None) -> tuple:
     """Scheduler worker entry: run one job, never raise.
@@ -138,16 +132,17 @@ def _execute(job: ServeJob) -> dict:
     """Run one job to completion; returns its JSON-safe payload."""
     config = job.config()
     if job.type == "simulate":
-        result = simulate(_trace_for(job), config, name=job.workload)
-        return result.to_dict()
+        trace = build_workload(job.workload, max_uops=job.max_uops)
+        return simulate(trace, config, name=job.workload).to_dict()
     if job.type == "sample":
         kwargs = {}
         if job.windows:
             kwargs["windows"] = job.windows
         if job.warmup:
             kwargs["warmup"] = job.warmup
-        estimate = sampled_simulate(_trace_for(job), config,
-                                    name=job.workload, **kwargs)
+        trace = build_workload(job.workload, max_uops=job.max_uops)
+        estimate = sampled_simulate(trace, config, name=job.workload,
+                                    **kwargs)
         return estimate.to_dict()
     if job.type == "analyze":
         report = analyze_workload(

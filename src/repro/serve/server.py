@@ -79,6 +79,10 @@ DEFAULT_MAX_BATCH = 8
 #: Fallback ``retry_after`` when no execution has been timed yet.
 FALLBACK_RETRY_AFTER = 0.1
 
+#: How long a client that sent an over-limit line may keep streaming
+#: the rest of it before the server closes the connection anyway.
+DISCARD_TIMEOUT_S = 5.0
+
 # Result tiers reported in Response.meta["tier"].
 TIER_LRU = "lru"
 TIER_DISK = "disk"
@@ -108,6 +112,31 @@ class _WorkItem:
 
 def _us(seconds: float) -> int:
     return max(0, int(seconds * 1e6))
+
+
+async def _discard_line(reader: asyncio.StreamReader,
+                        writer: asyncio.StreamWriter) -> None:
+    """Finish an over-limit line before the connection closes.
+
+    Closing a socket whose receive queue still holds the rest of the
+    line makes the kernel reset the connection: the client then reads
+    ECONNRESET instead of the error response and a clean end of
+    stream.  So signal end of stream, then read and drop input up to
+    the next newline or EOF, for at most :data:`DISCARD_TIMEOUT_S`.
+    """
+    if writer.can_write_eof():
+        writer.write_eof()
+
+    async def drop() -> None:
+        while True:
+            chunk = await reader.read(65536)
+            if not chunk or b"\n" in chunk:
+                return
+
+    try:
+        await asyncio.wait_for(drop(), DISCARD_TIMEOUT_S)
+    except asyncio.TimeoutError:
+        pass
 
 
 class SimulationServer:
@@ -280,6 +309,7 @@ class SimulationServer:
                         0, "", protocol.E_TOO_LARGE,
                         "line exceeds %d bytes"
                         % protocol.MAX_LINE_BYTES))
+                    await _discard_line(reader, writer)
                     break
                 if not line:
                     break
@@ -511,8 +541,8 @@ class SimulationServer:
 
     def _run_batch(self, jobs: list) -> tuple:
         """Synchronous batch execution (runs on a worker thread)."""
-        preload_traces((job.workload, job.config(),
-                        job.max_uops or None) for job in jobs)
+        preload_traces((job.workload, job.config(), job.max_uops)
+                       for job in jobs)
         return run_jobs(
             jobs, execute_serve_job, [job.label() for job in jobs],
             workers=self.pool_jobs, timeout=self.job_timeout,

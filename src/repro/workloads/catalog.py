@@ -208,9 +208,12 @@ def clear_trace_memo() -> None:
     _TRACE_MEMO.clear()
 
 
-def build_workload(name: str, max_uops: int = DEFAULT_MAX_UOPS,
+def build_workload(name: str, max_uops: Optional[int] = None,
                    use_store: Optional[bool] = None) -> Trace:
     """The named workload's dynamic trace: capture once, replay many.
+
+    ``max_uops`` caps the capture; ``None`` or ``0`` means the catalog
+    default (:data:`DEFAULT_MAX_UOPS`).
 
     Traces are deterministic, so each ``(name, max_uops)`` is cached at
     two levels: an in-process memo (every call in one process returns
@@ -221,6 +224,7 @@ def build_workload(name: str, max_uops: int = DEFAULT_MAX_UOPS,
     runs replay the serialized trace instead of re-interpreting the
     kernel.
     """
+    max_uops = max_uops or DEFAULT_MAX_UOPS
     key = (name, max_uops)
     trace = _TRACE_MEMO.get(key)
     if trace is not None:

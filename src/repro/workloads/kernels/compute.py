@@ -11,9 +11,9 @@ from __future__ import annotations
 from repro.workloads.kernels.memory import (
     BUFFER_BASE,
     SECOND_BASE,
-    _LOAD_OP,
-    _loop,
-    _wrap,
+    LOAD_OP,
+    loop_kernel,
+    wrap_pointer,
 )
 
 
@@ -52,8 +52,8 @@ def bit_ops(iters: int = 3000, idiom_groups: int = 3,
         body.append("ld a2, %d(a0)" % (8 * m))
         body.append("add s2, s2, a2")
     body.append("addi a0, a0, 8")
-    body += _wrap("a0", "s8", "s10")
-    return _loop(body, iters, mask=8 * 1024 - 1)
+    body += wrap_pointer("a0", "s8", "s10")
+    return loop_kernel(body, iters, mask=8 * 1024 - 1)
 
 
 def fp_butterfly(iters: int = 1800, footprint_kb: int = 16) -> str:
@@ -73,12 +73,12 @@ def fp_butterfly(iters: int = 1800, footprint_kb: int = 16) -> str:
         "fsd f6, 8(a5)",
         "addi a0, a0, 16",
     ]
-    body += _wrap("a0", "s8", "s10")
+    body += wrap_pointer("a0", "s8", "s10")
     body.append("addi a5, a5, 16")
-    body += _wrap("a5", "s8", "s11")
+    body += wrap_pointer("a5", "s8", "s11")
     prologue = ["li a5, %d" % SECOND_BASE]
-    return _loop(body, iters, mask=footprint_kb * 1024 - 1,
-                 extra_prologue=prologue)
+    return loop_kernel(body, iters, mask=footprint_kb * 1024 - 1,
+                       extra_prologue=prologue)
 
 
 def byte_scan(iters: int = 3500, element_bytes: int = 1,
@@ -95,7 +95,7 @@ def byte_scan(iters: int = 3500, element_bytes: int = 1,
         size = element_bytes
         if mixed_sizes and e % 2 == 1:
             size = min(8, element_bytes * 2)
-        body.append("%s a%d, %d(a0)" % (_LOAD_OP[size], 2 + e % 4, offset))
+        body.append("%s a%d, %d(a0)" % (LOAD_OP[size], 2 + e % 4, offset))
         body.append("add s2, s2, a%d" % (2 + e % 4))
         offset += size
     if rotate_mix:
@@ -106,8 +106,8 @@ def byte_scan(iters: int = 3500, element_bytes: int = 1,
             "xor s3, s3, s2",
         ]
     body.append("addi a0, a0, %d" % offset)
-    body += _wrap("a0", "s8", "s10")
-    return _loop(body, iters, mask=footprint_kb * 1024 - 1)
+    body += wrap_pointer("a0", "s8", "s10")
+    return loop_kernel(body, iters, mask=footprint_kb * 1024 - 1)
 
 
 def sort_partition(iters: int = 2200, footprint_kb: int = 16) -> str:
@@ -124,7 +124,7 @@ def sort_partition(iters: int = 2200, footprint_kb: int = 16) -> str:
         "add s2, s2, a2",
         "addi a0, a0, 16",
     ]
-    body += _wrap("a0", "s8", "s10")
+    body += wrap_pointer("a0", "s8", "s10")
     # Pre-fill the buffer with pseudo-random values so the branch is
     # genuinely data-dependent.
     fill = [
@@ -140,4 +140,5 @@ def sort_partition(iters: int = 2200, footprint_kb: int = 16) -> str:
         "    addi t1, t1, -1",
         "    bnez t1, fill",
     ]
-    return _loop(body, iters, mask=footprint_kb * 1024 - 1, pre_lines=fill)
+    return loop_kernel(body, iters, mask=footprint_kb * 1024 - 1,
+                       pre_lines=fill)

@@ -5,7 +5,8 @@ These model the paper's store-pressure applications (657.xz, typeset,
 602.gcc) and the struct/record processing loops where non-consecutive
 load pairs arise naturally (600.perlbench, 623.xalancbmk).
 
-Register conventions shared by every kernel (set up by :func:`_loop`):
+Register conventions shared by every kernel (set up by
+:func:`loop_kernel`):
 
 * ``s10`` — primary buffer base, ``s11`` — secondary buffer base;
 * ``s8`` / ``s9`` — primary/secondary footprint masks;
@@ -32,7 +33,7 @@ def _footprint_mask(footprint_kb: int) -> int:
     return size - 1
 
 
-def _wrap(reg: str, mask_reg: str, base_reg: str) -> List[str]:
+def wrap_pointer(reg: str, mask_reg: str, base_reg: str) -> List[str]:
     """Wrap pointer ``reg`` into its buffer (mask then rebase)."""
     return [
         "and %s, %s, %s" % (reg, reg, mask_reg),
@@ -40,7 +41,7 @@ def _wrap(reg: str, mask_reg: str, base_reg: str) -> List[str]:
     ]
 
 
-_LOAD_OP = {1: "lbu", 2: "lhu", 4: "lwu", 8: "ld"}
+LOAD_OP = {1: "lbu", 2: "lhu", 4: "lwu", 8: "ld"}
 _STORE_OP = {1: "sb", 2: "sh", 4: "sw", 8: "sd"}
 
 
@@ -67,15 +68,15 @@ def streaming_stores(iters: int = 2500, stores_per_iter: int = 6,
                 body.append("xor t%d, a3, a1" % (k % 3))
     body.extend("add s2, s2, a3" for _ in range(alu_ops))
     body.append("addi a0, a0, %d" % stride)
-    body += _wrap("a0", "s8", "s10")
+    body += wrap_pointer("a0", "s8", "s10")
     body += [
         # Pseudo-random far input pointer (streams through a large region).
         "slli t2, a1, 6",
         "add a2, a2, t2",
     ]
-    body += _wrap("a2", "s9", "s11")
-    return _loop(body, iters, mask=_footprint_mask(footprint_kb),
-                 second_mask=0xFFFFF)
+    body += wrap_pointer("a2", "s9", "s11")
+    return loop_kernel(body, iters, mask=_footprint_mask(footprint_kb),
+                       second_mask=0xFFFFF)
 
 
 def struct_walk(iters: int = 3000, fields: int = 4, field_gap: int = 8,
@@ -95,7 +96,7 @@ def struct_walk(iters: int = 3000, fields: int = 4, field_gap: int = 8,
     body = []
     for f in range(fields):
         size = sizes[f % len(sizes)]
-        body.append("%s a%d, %d(a0)" % (_LOAD_OP[size], 2 + f,
+        body.append("%s a%d, %d(a0)" % (LOAD_OP[size], 2 + f,
                                         f * field_gap))
         for k in range(alu_between):
             body.append("add s%d, s%d, a%d" % (2 + k % 2, 2 + k % 2, 2 + f))
@@ -105,13 +106,13 @@ def struct_walk(iters: int = 3000, fields: int = 4, field_gap: int = 8,
         body.append("sd s2, 0(a6)")
         body.append("sd s3, 8(a6)")
     body.append("addi a0, a0, %d" % stride)
-    body += _wrap("a0", "s8", "s10")
+    body += wrap_pointer("a0", "s8", "s10")
     if store_result:
         body.append("addi a6, a6, 16")
-        body += _wrap("a6", "s9", "s11")
+        body += wrap_pointer("a6", "s9", "s11")
     prologue = ["li a6, %d" % SECOND_BASE] if store_result else None
-    return _loop(body, iters, mask=_footprint_mask(footprint_kb),
-                 second_mask=32 * 1024 - 1, extra_prologue=prologue)
+    return loop_kernel(body, iters, mask=_footprint_mask(footprint_kb),
+                       second_mask=32 * 1024 - 1, extra_prologue=prologue)
 
 
 def two_stream_walk(iters: int = 3000, gap: int = 24,
@@ -129,11 +130,11 @@ def two_stream_walk(iters: int = 3000, gap: int = 24,
         "add s3, s3, a3",
         "addi a0, a0, 32",
     ]
-    body += _wrap("a0", "s8", "s10")
+    body += wrap_pointer("a0", "s8", "s10")
     body.append("addi a4, a0, %d" % gap)
     prologue = ["addi a4, a0, %d" % gap]
-    return _loop(body, iters, mask=_footprint_mask(footprint_kb),
-                 extra_prologue=prologue)
+    return loop_kernel(body, iters, mask=_footprint_mask(footprint_kb),
+                       extra_prologue=prologue)
 
 
 def block_transform(iters: int = 1200, block_loads: int = 8,
@@ -153,18 +154,18 @@ def block_transform(iters: int = 1200, block_loads: int = 8,
     for i in range(block_stores):
         body.append("sd s2, %d(a5)" % (8 * i))
     body.append("addi a0, a0, %d" % (load_gap * block_loads))
-    body += _wrap("a0", "s8", "s10")
+    body += wrap_pointer("a0", "s8", "s10")
     body.append("addi a5, a5, %d" % (8 * block_stores))
-    body += _wrap("a5", "s8", "s11")
+    body += wrap_pointer("a5", "s8", "s11")
     prologue = ["li a5, %d" % SECOND_BASE]
-    return _loop(body, iters, mask=_footprint_mask(footprint_kb),
-                 extra_prologue=prologue)
+    return loop_kernel(body, iters, mask=_footprint_mask(footprint_kb),
+                       extra_prologue=prologue)
 
 
-def _loop(body: Sequence[str], iters: int, mask: int,
-          second_mask: Optional[int] = None,
-          extra_prologue: Optional[Sequence[str]] = None,
-          pre_lines: Optional[Sequence[str]] = None) -> str:
+def loop_kernel(body: Sequence[str], iters: int, mask: int,
+                second_mask: Optional[int] = None,
+                extra_prologue: Optional[Sequence[str]] = None,
+                pre_lines: Optional[Sequence[str]] = None) -> str:
     """Wrap a loop body with the standard prologue and trip counter."""
     prologue = [
         "li a0, %d" % BUFFER_BASE,

@@ -12,8 +12,8 @@ from __future__ import annotations
 from repro.workloads.kernels.memory import (
     BUFFER_BASE,
     SECOND_BASE,
-    _loop,
-    _wrap,
+    loop_kernel,
+    wrap_pointer,
 )
 
 #: LCG multiplier/increment used for in-register pseudo-randomness.
@@ -89,7 +89,7 @@ def pointer_chase(iters: int = 2500, node_bytes: int = 64,
         "    bnez t1, init",
         "    li a0, %d" % BUFFER_BASE,
     ]
-    return _loop(body, iters, mask=mask, pre_lines=init)
+    return loop_kernel(body, iters, mask=mask, pre_lines=init)
 
 
 def hash_probe(iters: int = 2500, buckets_kb: int = 32,
@@ -118,11 +118,11 @@ def hash_probe(iters: int = 2500, buckets_kb: int = 32,
     for s in range(stores_per_hit):
         body.append("sd s3, %d(a5)" % (8 * s))
     body.append("addi a5, a5, %d" % (8 * stores_per_hit))
-    body += _wrap("a5", "s9", "s11")
+    body += wrap_pointer("a5", "s9", "s11")
     body.append("miss:")
     prologue = _LCG_PROLOGUE + ["li a5, %d" % SECOND_BASE, "li s0, 98765"]
-    return _loop(body, iters, mask=buckets_kb * 1024 - 1,
-                 second_mask=64 * 1024 - 1, extra_prologue=prologue)
+    return loop_kernel(body, iters, mask=buckets_kb * 1024 - 1,
+                       second_mask=64 * 1024 - 1, extra_prologue=prologue)
 
 
 def event_queue(iters: int = 2200, heap_kb: int = 16) -> str:
@@ -148,8 +148,8 @@ def event_queue(iters: int = 2200, heap_kb: int = 16) -> str:
         "noswap:",
     ]
     prologue = _LCG_PROLOGUE + ["li s0, 4242"]
-    return _loop(body, iters, mask=heap_kb * 1024 - 1,
-                 extra_prologue=prologue)
+    return loop_kernel(body, iters, mask=heap_kb * 1024 - 1,
+                       extra_prologue=prologue)
 
 
 def table_mix(iters: int = 2500, table_kb: int = 64, lookups: int = 4,
@@ -172,7 +172,7 @@ def table_mix(iters: int = 2500, table_kb: int = 64, lookups: int = 4,
     for s in range(stores_per_iter):
         body.append("sd s3, %d(a5)" % (8 * s))
     body.append("addi a5, a5, %d" % (8 * stores_per_iter))
-    body += _wrap("a5", "s9", "s11")
+    body += wrap_pointer("a5", "s9", "s11")
     prologue = _LCG_PROLOGUE + ["li a5, %d" % SECOND_BASE, "li s0, 31415"]
-    return _loop(body, iters, mask=table_kb * 1024 - 1,
-                 second_mask=32 * 1024 - 1, extra_prologue=prologue)
+    return loop_kernel(body, iters, mask=table_kb * 1024 - 1,
+                       second_mask=32 * 1024 - 1, extra_prologue=prologue)

@@ -1,12 +1,14 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.experiments import clear_cache
 from repro.experiments.faults import (
+    FAULT_INJECT_ENV,
     AttemptRecord,
     JobRecord,
     SweepReport,
@@ -238,6 +240,25 @@ def test_experiment_writes_report_json(capsys, tmp_path):
     assert "crc32" in out and "ok" in out
 
 
+def test_experiment_writes_report_json_when_sweep_fails(
+        capsys, tmp_path, monkeypatch):
+    clear_cache()  # cold in-process memo: force actual execution
+    # Every pool attempt raises; with no retries nothing degrades to
+    # the (injection-immune) serial phase, so the sweep fails.
+    monkeypatch.setenv(FAULT_INJECT_ENV, "raise:1.0")
+    report_file = tmp_path / "sweep.json"
+    assert main(["experiment", "cpi", "--workloads", "crc32",
+                 "--jobs", "2", "--retries", "0",
+                 "--cache-dir", str(tmp_path / "cache"),
+                 "--report-json", str(report_file)]) == 1
+    captured = capsys.readouterr()
+    assert "sweep failed" in captured.err
+    assert "wrote sweep execution report to" in captured.out
+    payload = json.loads(report_file.read_text())
+    assert payload["summary"]["jobs"] == 2      # NoFusion + Helios
+    assert payload["summary"]["failed"] == 2
+
+
 def test_sweep_report_flags_failed_jobs(capsys, tmp_path):
     report = SweepReport(jobs=[JobRecord(
         workload="crc32", mode="Helios", ok=False,
@@ -353,3 +374,147 @@ def test_analyze_with_static_contract(capsys):
     assert main(["analyze", "dijkstra", "--mode", "Helios",
                  "--max-uops", "10000", "--static"]) == 0
     assert "no divergences" in capsys.readouterr().out
+
+
+# ---- accepted flags ----------------------------------------------------------
+
+#: Every subcommand's arguments as ``{flag or positional: (default,
+#: choices, type name, nargs, const)}``, taken from ``build_parser()``
+#: while each subcommand still declared its own copy of the shared
+#: flags.  Declaring them once must not change what the CLI accepts.
+CLI_SNAPSHOT = {
+    "analyze": {
+        "--explain": (None, None, "function", None, None),
+        "--json": (None, None, None, None, None),
+        "--max-uops": (None, None, "int", None, None),
+        "--mode": (None, None, None, None, None),
+        "--no-sanitize": (False, None, None, 0, True),
+        "--static": (False, None, None, 0, True),
+        "workloads": (None, None, None, None, None),
+    },
+    "bench": {
+        "--max-uops": (None, None, "int", None, None),
+        "--output": ("BENCH_pipeline.json", None, None, None, None),
+        "--quick": (False, None, None, 0, True),
+        "--sample": (False, None, None, 0, True),
+        "--serve": (False, None, None, 0, True),
+        "--workloads": (None, None, None, None, None),
+    },
+    "cache": {
+        "--cache-dir": (None, None, None, None, None),
+        "action": ("info", ("info", "clear"), None, "?", None),
+    },
+    "debug": {
+        "--events-out": (None, None, None, None, None),
+        "--fp-kind": (None, ("tournament", "tage", "local"), None, None, None),
+        "--max-uops": (None, None, "int", None, None),
+        "--mode": (None, None, None, None, None),
+        "--ring": (None, None, "int", None, None),
+        "workload": (None, None, None, None, None),
+    },
+    "experiment": {
+        "--cache-dir": (None, None, None, None, None),
+        "--fp-kind": (None, ("tournament", "tage", "local"), None, None, None),
+        "--job-timeout": (None, None, "float", None, None),
+        "--jobs": (None, None, "int", None, None),
+        "--no-cache": (False, None, None, 0, True),
+        "--report-json": (None, None, None, None, None),
+        "--retries": (None, None, "int", None, None),
+        "--workloads": (None, None, None, None, None),
+        "name": (None, None, None, None, None),
+    },
+    "loadgen": {
+        "--duplicate-ratio": (0.5, None, "float", None, None),
+        "--host": (None, None, None, None, None),
+        "--hot-keys": (8, None, "int", None, None),
+        "--json": (None, None, None, None, None),
+        "--port": (0, None, "int", None, None),
+        "--quick": (False, None, None, 0, True),
+        "--requests": (200, None, "int", None, None),
+        "--seed": (0, None, "int", None, None),
+        "--socket": (None, None, None, None, None),
+        "--timeout": (300.0, None, "float", None, None),
+        "--verb": ("simulate", ("simulate", "sample", "analyze"), None, None, None),
+        "--workers": (4, None, "int", None, None),
+    },
+    "profile": {
+        "--fp-kind": (None, ("tournament", "tage", "local"), None, None, None),
+        "--json-out": (None, None, None, None, None),
+        "--max-uops": (None, None, "int", None, None),
+        "--mode": (None, None, None, None, None),
+        "--pstats-out": (None, None, None, None, None),
+        "--top": (15, None, "int", None, None),
+        "workload": (None, None, None, None, None),
+    },
+    "serve": {
+        "--host": (None, None, None, None, None),
+        "--job-timeout": (None, None, "float", None, None),
+        "--lru-capacity": (256, None, "int", None, None),
+        "--max-batch": (8, None, "int", None, None),
+        "--metrics-json": (None, None, None, None, None),
+        "--no-disk-cache": (False, None, None, 0, True),
+        "--pool-jobs": (1, None, "int", None, None),
+        "--port": (0, None, "int", None, None),
+        "--queue-limit": (64, None, "int", None, None),
+        "--retries": (None, None, "int", None, None),
+        "--socket": (None, None, None, None, None),
+    },
+    "simulate": {
+        "--fp-kind": (None, ("tournament", "tage", "local"), None, None, None),
+        "--job-timeout": (None, None, "float", None, None),
+        "--jobs": (None, None, "int", None, None),
+        "--max-uops": (None, None, "int", None, None),
+        "--mode": (None, None, None, None, None),
+        "--retries": (None, None, "int", None, None),
+        "--sample": (None, None, "int", "?", 32),
+        "--scale-to": (None, None, "int", None, None),
+        "--segments": (None, None, "int", None, None),
+        "--warmup": (None, None, "int", None, None),
+        "workload": (None, None, None, None, None),
+    },
+    "static": {
+        "--candidates": (False, None, None, 0, True),
+        "--explain": (None, None, "_parse_pc_pair", None, None),
+        "--json": (None, None, None, None, None),
+        "--max-uops": (None, None, "int", None, None),
+        "--mode": (None, None, None, None, None),
+        "--path-budget": (20000, None, "int", None, None),
+        "--verbose": (False, None, None, 0, True),
+        "workloads": (None, None, None, None, None),
+    },
+    "storage": {},
+    "sweep-report": {
+        "file": (None, None, None, None, None),
+    },
+    "trace": {
+        "--out": (None, None, None, None, None),
+        "--trace-dir": (None, None, None, None, None),
+        "action": ("info", ("info", "clear", "export"), None, "?", None),
+        "workload": (None, None, None, "?", None),
+    },
+    "workloads": {},
+}
+
+
+def _cli_snapshot():
+    parser = build_parser()
+    (commands,) = [action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    snapshot = {}
+    for name, sub in commands.choices.items():
+        rows = {}
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            key = "/".join(action.option_strings) or action.dest
+            kind = getattr(action.type, "__name__", None)
+            rows[key] = (action.default,
+                         tuple(action.choices) if action.choices else None,
+                         "function" if kind == "<lambda>" else kind,
+                         action.nargs, action.const)
+        snapshot[name] = rows
+    return snapshot
+
+
+def test_cli_accepts_the_same_flags():
+    assert _cli_snapshot() == CLI_SNAPSHOT

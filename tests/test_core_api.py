@@ -14,7 +14,6 @@ from repro import (
     simulate_modes,
 )
 from repro.config import CacheConfig
-from repro.core.simulator import count_eligible_predictive_pairs
 from repro.isa import assemble, run_program
 from repro.workloads import synthesize_trace
 
@@ -110,7 +109,31 @@ def test_eligible_pair_counting():
         ecall
     """))
     # (x4,x5) is NCSF (needs prediction); (x6,x7) is static CSF.
-    assert count_eligible_predictive_pairs(trace, ProcessorConfig()) == 1
+    result = simulate(trace, ProcessorConfig().with_mode(FusionMode.HELIOS))
+    assert result.eligible_predictive_pairs == 1
+
+
+def test_helios_and_oracle_cores_share_one_pairing_pass(monkeypatch):
+    import repro.pipeline.core as core_module
+    from repro.fusion import oracle
+    from repro.pipeline.core import PipelineCore
+
+    calls = []
+    real = oracle.oracle_memory_pairs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    # Patch the core module too, in case it ever binds the function
+    # itself instead of going through the per-trace cache.
+    monkeypatch.setattr(oracle, "oracle_memory_pairs", counting)
+    monkeypatch.setattr(core_module, "oracle_memory_pairs", counting,
+                        raising=False)
+    trace = run_program(assemble(KERNEL))
+    for mode in (FusionMode.HELIOS, FusionMode.ORACLE):
+        PipelineCore(trace, ProcessorConfig().with_mode(mode))
+    assert len(calls) == 1
 
 
 def test_synthetic_trace_runs_through_pipeline():

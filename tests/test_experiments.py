@@ -73,12 +73,10 @@ def test_run_suite_shape():
 
 
 def test_interleaved_sweeps_keep_their_own_reports():
-    # Regression: last_sweep_report() is a module global that any
-    # sweep overwrites, so two sweeps interleaved in one process (the
-    # simulation service, threaded embedders) used to have no safe way
-    # to read their own execution report.  run_suite_with_report
-    # threads the report through the return value instead — run two
-    # sweeps concurrently and check neither sees the other's jobs.
+    # Two sweeps interleaved in one process (the simulation service,
+    # threaded embedders) must each get their own execution report:
+    # run_suite_with_report threads it through the return value — run
+    # two sweeps concurrently and check neither sees the other's jobs.
     import threading
 
     from repro.experiments import run_suite_with_report

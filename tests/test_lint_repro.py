@@ -95,6 +95,33 @@ def test_stats_mutation_allows_local_dicts_and_attributes():
     assert lint_repro.stats_mutation_errors(src) == []
 
 
+def test_private_import_flags_absolute_repro_import():
+    errors = lint_repro.private_import_errors(
+        "from repro.core.simulator import simulate, _helper\n", "cli.py")
+    assert len(errors) == 1
+    assert errors[0].startswith("cli.py:1") and "'_helper'" in errors[0]
+
+
+def test_private_import_flags_relative_and_local_imports():
+    src = (
+        "from .candidates import _walk\n"
+        "def f():\n"
+        "    from repro.isa.interp import _MASK64 as mask\n"
+    )
+    errors = lint_repro.private_import_errors(src)
+    assert [e.split(":")[1] for e in errors] == ["1", "3"]
+
+
+def test_private_import_allows_public_dunder_and_foreign_names():
+    src = (
+        "from repro.sampling import DEFAULT_WINDOWS as _WINDOWS\n"
+        "from repro import __version__\n"
+        "from os import _exit\n"
+        "import repro.core.simulator\n"
+    )
+    assert lint_repro.private_import_errors(src) == []
+
+
 def test_repo_passes_lint():
     assert lint_repro.run(ROOT) == []
 

@@ -12,7 +12,7 @@ from repro.predictors import (
     TageFusionPredictor,
     make_fusion_predictor,
 )
-from repro.predictors.fp_variants import _Dice
+from repro.predictors.fp_variants import Dice
 
 
 ALL_VARIANTS = [
@@ -111,10 +111,10 @@ def test_local_history_tracks_alternating_distances():
 
 
 def test_dice_is_deterministic():
-    a = _Dice(seed=1)
-    b = _Dice(seed=1)
+    a = Dice(seed=1)
+    b = Dice(seed=1)
     assert [a.one_in(2) for _ in range(50)] == [b.one_in(2) for _ in range(50)]
-    assert any(_Dice(seed=2).one_in(2) for _ in range(8))
+    assert any(Dice(seed=2).one_in(2) for _ in range(8))
 
 
 def test_probabilistic_tournament_slows_saturation():

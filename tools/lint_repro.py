@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-specific AST lints, run in CI next to ruff.
 
-Two rules the generic linters cannot express:
+Rules the generic linters cannot express:
 
 1. **Config classification** — every ``ProcessorConfig`` dataclass
    field must be claimed either by
@@ -32,6 +32,13 @@ Two rules the generic linters cannot express:
    the table stays honest.  A per-cycle method with no budget entry
    (i.e. a *new* stage) gets zero of both.
 
+4. **No cross-module private imports** — no module under
+   ``src/repro/`` may import a ``_private`` name from another
+   ``repro`` module (``from repro.core.simulator import _helper``).
+   A name another module needs is part of its owner's interface and
+   is spelled without the underscore; otherwise the code using it
+   belongs in the owning module.
+
 Usage: ``python tools/lint_repro.py [--root DIR]``; exits non-zero on
 any violation.  The rule implementations are importable pure functions
 over source text so ``tests/test_lint_repro.py`` can exercise them.
@@ -48,6 +55,7 @@ from collections.abc import Sequence
 CONFIG_PATH = "src/repro/config.py"
 SAMPLES_PATH = "tests/test_config_fingerprint.py"
 PIPELINE_DIR = "src/repro/pipeline"
+SRC_DIR = "src/repro"
 
 
 # -- rule 1: ProcessorConfig field classification ----------------------------
@@ -289,6 +297,31 @@ def hot_loop_errors(source: str, budgets: dict = None,
     return errors
 
 
+# -- rule 4: no cross-module private imports ---------------------------------
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_import_errors(source: str, path: str = "<source>") -> list[str]:
+    """``from <repro module> import _name`` (absolute or relative)."""
+    errors = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "repro":
+            continue
+        for alias in node.names:
+            if _is_private(alias.name):
+                errors.append(
+                    "%s:%d: imports private name %r from %s%s; make it "
+                    "public in its module or move the caller there"
+                    % (path, node.lineno, alias.name, "." * node.level,
+                       module))
+    return errors
+
+
 # -- driver ------------------------------------------------------------------
 
 def run(root: Path) -> list[str]:
@@ -305,6 +338,10 @@ def run(root: Path) -> list[str]:
             str(path.relative_to(root))))
     errors.extend(hot_loop_errors(
         (root / CORE_PATH).read_text(encoding="utf-8")))
+    for path in sorted((root / SRC_DIR).rglob("*.py")):
+        errors.extend(private_import_errors(
+            path.read_text(encoding="utf-8"),
+            str(path.relative_to(root))))
     return errors
 
 
