@@ -23,9 +23,9 @@ the structural half of Helios' correctness argument:
   already-committed residents, issue-queue census matching, and an
   LSQ side-table entry for exactly the in-flight memory µ-ops.
 
-The per-cycle hooks cost one ``is not None`` test when disarmed; the
-perf harness records that as ``sanitize_off_overhead_pct`` under the
-same <2 % contract as the observability layer.
+The per-cycle hooks cost one ``is not None`` test when disarmed.  The
+<2 % budget for disarmed hooks, shared with the observability layer,
+is currently unmeasured.
 """
 
 from __future__ import annotations

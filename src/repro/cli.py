@@ -13,7 +13,6 @@
     python -m repro cache clear               # drop every cached result
     python -m repro trace                     # inspect the trace store
     python -m repro trace export dijkstra     # trace -> portable JSON-lines
-    python -m repro bench --quick             # wall-clock perf harness
     python -m repro profile 605.mcf --mode Helios --top 20
     python -m repro debug 657.xz_1 --events-out xz.trace.json
     python -m repro analyze dijkstra          # legality + differential
@@ -339,84 +338,6 @@ def _cmd_trace(args) -> int:
         print("  %-20s %8s µ-ops %9d B  %s"
               % (entry["name"], entry["uops"], entry["bytes"],
                  entry["file"]))
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    from repro.perf import (compare_with_previous, load_bench, run_bench,
-                            write_bench)
-    workloads = _workload_list(args.workloads)
-    previous = load_bench(args.output)
-    payload = run_bench(workloads=workloads, quick=args.quick,
-                        max_uops=args.max_uops, sample=args.sample,
-                        serve=args.serve)
-    compare_with_previous(payload, previous)
-    path = write_bench(payload, args.output)
-    totals = payload["totals"]
-    print("bench: %d workload(s), modes: %s"
-          % (len(payload["workloads"]), ", ".join(payload["modes"])))
-    print("  trace capture (cold interp) %7.3f s"
-          % totals["trace_build_cold_s"])
-    print("  trace replay  (store load)  %7.3f s  (%.1fx faster)"
-          % (totals["store_load_s"],
-             payload["capture_vs_replay_speedup"] or 0.0))
-    print("  oracle pair extraction      %7.3f s"
-          % totals["oracle_pairs_s"])
-    for mode, seconds in totals["pipeline_run_s"].items():
-        print("  pipeline run %-14s %7.3f s" % (mode, seconds))
-    obs = payload.get("observability") or {}
-    if obs:
-        print("  instrumentation overhead (%s, %s, best of %d):"
-              % (obs["workload"], obs["mode"], obs["reps"]))
-        print("    no-op  %+6.2f%%  (%.3f s vs %.3f s bare)"
-              % (obs["noop_overhead_pct"], obs["noop_run_s"],
-                 obs["bare_run_s"]))
-        print("    traced %+6.2f%%  (%.3f s)"
-              % (obs["traced_overhead_pct"], obs["traced_run_s"]))
-    throughput = payload.get("throughput") or {}
-    if throughput.get("aggregate_uops_per_s"):
-        print("  aggregate throughput: %d µops/s  (%d µ-ops in %.3f s)"
-              % (throughput["aggregate_uops_per_s"],
-                 throughput["aggregate_uops"],
-                 throughput["aggregate_run_s"]))
-    sampled = payload.get("sampled") or {}
-    if sampled.get("rows"):
-        print("  sampled vs full detail (%s, ~%d µ-ops, %d strata):"
-              % (sampled["mode"], sampled["target_uops"],
-                 sampled["windows"]))
-        for name, row in sampled["rows"].items():
-            print("    %-12s %5.1fx  (%.2f s vs %.2f s)  "
-                  "IPC %.4f vs %.4f  err %+.2f%% (bound ±%.2f%%)%s"
-                  % (name, row["speedup"] or 0.0, row["sampled_run_s"],
-                     row["full_run_s"], row["ipc_estimate"],
-                     row["full_ipc"], 100 * row["ipc_err_vs_full"],
-                     100 * row["ipc_rel_err_bound"],
-                     "" if row["within_bound"] else "  OUT OF BOUND"))
-    serving = payload.get("serving") or {}
-    if serving.get("ratios"):
-        print("  serving (%d requests, %d closed-loop workers):"
-              % (serving["requests"], serving["workers"]))
-        for key in sorted(serving["ratios"], key=int):
-            row = serving["ratios"][key]
-            print("    dup %3s%%  %8.1f req/s  p50 %7.1f ms  "
-                  "p99 %7.1f ms  %d execution(s) for %d ok"
-                  % (key, row["throughput_rps"],
-                     row["latency_ms"]["p50"], row["latency_ms"]["p99"],
-                     row["executions"], row["ok"]))
-        if serving.get("speedup_90_vs_0"):
-            print("    90%% vs 0%% duplicates: %.1fx served-request "
-                  "throughput" % serving["speedup_90_vs_0"])
-    delta = payload.get("vs_previous")
-    if delta and delta.get("aggregate_speedup"):
-        verdict = ("cycles identical" if delta["cycles_identical"]
-                   else "TIMING CHANGED: %d cell(s) moved"
-                   % len(delta["cycle_mismatches"]))
-        print("  vs previous bench (%s): %.3fx aggregate µops/s, "
-              "%d cells compared, %s"
-              % (delta.get("previous_timestamp"),
-                 delta["aggregate_speedup"], delta["cells_compared"],
-                 verdict))
-    print("wrote %s" % path)
     return 0
 
 
@@ -794,28 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace store directory (default: "
                             "$REPRO_TRACE_DIR or <cache dir>/traces)")
     trace.set_defaults(func=_cmd_trace)
-
-    bench = sub.add_parser(
-        "bench", help="wall-clock perf harness -> BENCH_pipeline.json",
-        parents=[max_uops])
-    bench.add_argument("--quick", action="store_true",
-                       help="CI smoke subset (3 workloads, 2 modes)")
-    bench.add_argument("--workloads",
-                       help="comma-separated subset (default: "
-                            "$REPRO_BENCH_WORKLOADS or the "
-                            "representative 12)")
-    bench.add_argument("--sample", action="store_true",
-                       help="also benchmark sampled simulation on "
-                            "scaled traces: speedup vs full detail + "
-                            "observed IPC error vs the reported bound")
-    bench.add_argument("--serve", action="store_true",
-                       help="also benchmark the simulation service: "
-                            "served-request throughput + latency "
-                            "percentiles at 0/50/90%% duplicate "
-                            "ratios")
-    bench.add_argument("--output", default="BENCH_pipeline.json",
-                       metavar="FILE", help="output path")
-    bench.set_defaults(func=_cmd_bench)
 
     serve = sub.add_parser(
         "serve", help="long-running simulation service (JSON lines "

@@ -17,7 +17,7 @@ from typing import Dict
 
 
 #: Default dynamic µ-op cap for every trace-consuming entry point
-#: (``repro simulate/bench/analyze/debug/profile`` and
+#: (``repro simulate/analyze/debug/profile`` and
 #: :func:`repro.workloads.build_workload`).  This is deliberately lower
 #: than the functional ``Interpreter``'s own 2M safety cap
 #: (:data:`repro.isa.interp.DEFAULT_INTERP_MAX_UOPS`): 200k µ-ops is

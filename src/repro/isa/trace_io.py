@@ -29,7 +29,7 @@ import struct
 import sys
 import zlib
 from collections.abc import Iterable
-from typing import BinaryIO, Optional, TextIO, Union
+from typing import Any, BinaryIO, Optional, TextIO, Union
 
 from repro.isa.decoder import decode
 from repro.isa.instructions import Instruction, opclass_for
@@ -138,41 +138,103 @@ def save_trace(trace: Trace, target: Union[str, TextIO]) -> None:
             handle.close()
 
 
+#: JSON type of every record field :func:`save_trace` writes, as
+#: ``(field, allowed types, required)``.  ``bool`` is a subclass of
+#: ``int`` in Python, so the checks compare exact types.
+_RECORD_FIELDS: "tuple[tuple[str, tuple[type, ...], bool], ...]" = (
+    ("pc", (int,), True),
+    ("mnemonic", (str,), True),
+    ("rd", (int, type(None)), True),
+    ("rs1", (int, type(None)), True),
+    ("rs2", (int, type(None)), True),
+    ("imm", (int,), True),
+    ("addr", (int,), False),
+    ("taken", (bool,), False),
+    ("target_pc", (int,), False),
+)
+
+
+def _parse_json_line(line: str, lineno: int) -> Any:
+    try:
+        return json.loads(line)
+    # RecursionError: nesting deeper than the decoder's stack allows.
+    except (ValueError, RecursionError) as exc:
+        raise TraceFormatError(
+            "line %d: not JSON: %s" % (lineno, exc)) from None
+
+
+def _check_record(record: Any, lineno: int) -> None:
+    """Raise :class:`TraceFormatError` unless ``record`` has the shape
+    :func:`save_trace` writes."""
+    if not isinstance(record, dict):
+        raise TraceFormatError("line %d: record is a %s, not an object"
+                               % (lineno, type(record).__name__))
+    for name, types, required in _RECORD_FIELDS:
+        if name not in record:
+            if required:
+                raise TraceFormatError("line %d: record has no %r"
+                                       % (lineno, name))
+        elif type(record[name]) not in types:
+            raise TraceFormatError("line %d: %r is %r, expected %s"
+                                   % (lineno, name, record[name],
+                                      " or ".join(t.__name__ for t in types)))
+
+
 def load_trace(source: Union[str, TextIO]) -> Trace:
-    """Read a JSON-lines trace written by :func:`save_trace`."""
+    """Read a JSON-lines trace written by :func:`save_trace`.
+
+    Raises :class:`TraceFormatError`, naming the line, on any input
+    :func:`save_trace` could not have written: text that is not JSON,
+    a wrong header, a record that is not an object or lacks a field, a
+    field of another type, or an unknown mnemonic.
+    """
+    from repro.isa.instructions import MEM_SIZE
+
     own = isinstance(source, str)
     handle = open(source) if own else source
     try:
-        header = json.loads(handle.readline())
-        if header.get("format") != "repro-trace":
+        header = _parse_json_line(handle.readline(), 1)
+        if (not isinstance(header, dict)
+                or header.get("format") != "repro-trace"):
             raise TraceFormatError("not a repro trace file")
         version = header.get("version")
-        if version != TRACE_JSON_VERSION:
+        if type(version) is not int or version != TRACE_JSON_VERSION:
             raise TraceFormatError(
                 "unsupported repro-trace version %r (this reader "
                 "understands version %d)" % (version, TRACE_JSON_VERSION))
+        name = header.get("name", "trace")
+        if type(name) is not str:
+            raise TraceFormatError("line 1: 'name' is %r, expected str"
+                                   % (name,))
         static_cache = {}
         uops: list[MicroOp] = []
-        for line in handle:
-            record = json.loads(line)
+        for lineno, line in enumerate(handle, start=2):
+            record = _parse_json_line(line, lineno)
+            _check_record(record, lineno)
             key = (record["mnemonic"], record["rd"], record["rs1"],
                    record["rs2"], record["imm"], record["pc"])
             inst = static_cache.get(key)
             if inst is None:
-                from repro.isa.instructions import MEM_SIZE
+                mnemonic = record["mnemonic"]
+                try:
+                    opclass = opclass_for(mnemonic)
+                except ValueError:
+                    raise TraceFormatError("line %d: unknown mnemonic %r"
+                                           % (lineno, mnemonic)) from None
                 inst = Instruction(
-                    mnemonic=record["mnemonic"],
+                    mnemonic=mnemonic,
                     rd=record["rd"], rs1=record["rs1"], rs2=record["rs2"],
-                    imm=record["imm"],
-                    opclass=opclass_for(record["mnemonic"]),
-                    mem_size=MEM_SIZE.get(record["mnemonic"], 0),
+                    imm=record["imm"], opclass=opclass,
+                    mem_size=MEM_SIZE.get(mnemonic, 0),
                     pc=record["pc"])
                 static_cache[key] = inst
             uops.append(MicroOp(
                 len(uops), inst, addr=record.get("addr", 0),
                 taken=record.get("taken", False),
                 target_pc=record.get("target_pc", 0)))
-        return Trace(uops, name=header.get("name", "trace"))
+        return Trace(uops, name=name)
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError("undecodable text: %s" % exc) from None
     finally:
         if own:
             handle.close()

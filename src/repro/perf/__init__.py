@@ -1,25 +1,14 @@
-"""Wall-clock performance harness (``repro bench``).
+"""Host-time measurement of the simulator.
 
-Times the stages every sweep pays for — cold trace capture, trace
-store serialization/replay, oracle pair extraction, and the
-cycle-level pipeline run per fusion mode — and emits
-``BENCH_pipeline.json`` so each PR's perf delta is measurable against
-the accumulated trajectory.
+* :mod:`repro.perf.profile` — ``repro profile``: one cProfile'd run
+  with host time attributed to pipeline stages.
+* :mod:`repro.perf.golden` — the golden cycle snapshot that pins
+  simulated time while the host code changes.
+
+End-to-end wall-clock numbers come from the benchmark in
+``perfbench/`` at the repository root.
 """
 
-from repro.perf.harness import (
-    BENCH_OUTPUT_DEFAULT,
-    DEFAULT_BENCH_WORKLOADS,
-    QUICK_BENCH_WORKLOADS,
-    SAMPLED_BENCH_WORKLOADS,
-    bench_workloads,
-    compare_with_previous,
-    load_bench,
-    measure_sampled,
-    measure_serving,
-    run_bench,
-    write_bench,
-)
 from repro.perf.profile import (
     dump_pstats,
     profile_run,
@@ -28,19 +17,8 @@ from repro.perf.profile import (
 )
 
 __all__ = [
-    "BENCH_OUTPUT_DEFAULT",
-    "DEFAULT_BENCH_WORKLOADS",
-    "QUICK_BENCH_WORKLOADS",
-    "SAMPLED_BENCH_WORKLOADS",
-    "bench_workloads",
-    "compare_with_previous",
     "dump_pstats",
-    "load_bench",
-    "measure_sampled",
-    "measure_serving",
     "profile_run",
     "render_profile",
-    "run_bench",
     "serializable",
-    "write_bench",
 ]

@@ -19,7 +19,7 @@ confused and their answers routinely differ.
 
 Profiling is measurement, not simulation: the profiled run is
 ~2-3x slower than a bare run and its wall-clock numbers must never be
-compared against ``repro bench`` timings.  Cycle counts, of course,
+compared against unprofiled timings.  Cycle counts, of course,
 are identical — the profiler cannot perturb simulated time.
 """
 
@@ -163,7 +163,7 @@ def render_profile(payload: Dict) -> str:
                  % (payload["workload"], payload["mode"], payload["uops"],
                     payload["cycles"], payload["ipc"]))
     lines.append("profiled run: %.3f s  (~%s µops/s under the profiler;"
-                 " not comparable to `repro bench`)"
+                 " not comparable to unprofiled runs)"
                  % (payload["profiled_run_s"],
                     payload["profiled_uops_per_s"]))
     lines.append("")

@@ -9,7 +9,7 @@ it, and the builder iterates on the observed ratio when it is not).
 
 Scaled traces are persisted in the regular trace store under a
 ``name@target`` key salted by the *unscaled* kernel source plus the
-target, so a 1M-µop bench trace is interpreted once and replayed
+target, so a 1M-µop scaled trace is interpreted once and replayed
 thereafter, exactly like the catalog traces — and editing the kernel
 or its catalog parameters invalidates the scaled capture too.
 """

@@ -35,9 +35,12 @@ from repro.serve.protocol import Request
 
 #: Small kernels: cheap to simulate, so load tests stress the serving
 #: machinery rather than the simulator.
-DEFAULT_WORKLOADS = ("dijkstra", "crc32", "bitcount", "qsort", "sha")
+WORKLOADS = ("dijkstra", "crc32", "bitcount", "qsort", "sha")
 
-DEFAULT_MODES = ("NoFusion", "Helios")
+MODES = ("NoFusion", "Helios")
+
+#: Capture length of every hot-set request.
+HOT_MAX_UOPS = 2000
 
 #: Forced-unique requests get max_uops = UNIQUE_BASE + i: long enough
 #: to be a real simulation, distinct enough to never collide with the
@@ -54,11 +57,7 @@ class LoadSpec:
     hot_keys: int = 8
     workers: int = 4
     seed: int = 0
-    workloads: tuple = DEFAULT_WORKLOADS
-    modes: tuple = DEFAULT_MODES
     verb: str = "simulate"
-    hot_max_uops: int = 2000
-    unique_base_uops: int = UNIQUE_BASE_UOPS
 
 
 @dataclass
@@ -103,18 +102,18 @@ def build_schedule(spec: LoadSpec) -> list:
     rng = random.Random(spec.seed)
     hot = []
     for _ in range(max(1, spec.hot_keys)):
-        hot.append((rng.choice(list(spec.workloads)),
-                    rng.choice(list(spec.modes)),
-                    spec.hot_max_uops))
+        hot.append((rng.choice(WORKLOADS),
+                    rng.choice(MODES),
+                    HOT_MAX_UOPS))
     schedule = []
     unique_serial = 0
     for index in range(spec.requests):
         if rng.random() < spec.duplicate_ratio:
             workload, mode, max_uops = rng.choice(hot)
         else:
-            workload = rng.choice(list(spec.workloads))
-            mode = rng.choice(list(spec.modes))
-            max_uops = spec.unique_base_uops + unique_serial
+            workload = rng.choice(WORKLOADS)
+            mode = rng.choice(MODES)
+            max_uops = UNIQUE_BASE_UOPS + unique_serial
             unique_serial += 1
         schedule.append(Request(type=spec.verb, id=index + 1,
                                 workload=workload, mode=mode,

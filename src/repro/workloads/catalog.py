@@ -193,7 +193,7 @@ def build_program(name: str) -> Program:
 
 #: Default dynamic µ-op cap per workload trace — re-exported from
 #: :mod:`repro.config`, the single authoritative definition shared by
-#: every CLI entry point (run/bench/analyze/debug/profile).
+#: every CLI entry point (simulate/analyze/debug/profile).
 DEFAULT_MAX_UOPS = _DEFAULT_MAX_UOPS
 
 #: In-process trace memo, keyed by ``(name, max_uops)``.  One entry per

@@ -156,34 +156,6 @@ def test_trace_export_requires_workload():
         main(["trace", "export", "nope"])
 
 
-def test_bench_quick(capsys, tmp_path):
-    import json
-    out_path = tmp_path / "BENCH_pipeline.json"
-    assert main(["bench", "--quick", "--workloads", "bitcount",
-                 "--max-uops", "2000", "--output", str(out_path)]) == 0
-    out = capsys.readouterr().out
-    assert "trace capture" in out
-    assert "trace replay" in out
-    payload = json.loads(out_path.read_text())
-    assert payload["modes"] == ["NoFusion", "Helios"]
-    assert set(payload["workloads"]) == {"bitcount"}
-    row = payload["workloads"]["bitcount"]
-    assert row["uops"] == 2000
-    assert set(row["modes"]) == {"NoFusion", "Helios"}
-    for timing in payload["totals"].values():
-        if isinstance(timing, float):
-            assert timing >= 0.0
-    assert payload["capture_vs_replay_speedup"] is not None
-    obs = payload["observability"]
-    assert {"sanitized_run_s", "sanitize_on_overhead_pct",
-            "sanitize_off_overhead_pct"} <= set(obs)
-
-
-def test_bench_unknown_workload():
-    with pytest.raises(SystemExit, match="unknown workload"):
-        main(["bench", "--workloads", "nope"])
-
-
 def test_storage_report(capsys):
     assert main(["storage"]) == 0
     out = capsys.readouterr().out
@@ -391,14 +363,6 @@ CLI_SNAPSHOT = {
         "--no-sanitize": (False, None, None, 0, True),
         "--static": (False, None, None, 0, True),
         "workloads": (None, None, None, None, None),
-    },
-    "bench": {
-        "--max-uops": (None, None, "int", None, None),
-        "--output": ("BENCH_pipeline.json", None, None, None, None),
-        "--quick": (False, None, None, 0, True),
-        "--sample": (False, None, None, 0, True),
-        "--serve": (False, None, None, 0, True),
-        "--workloads": (None, None, None, None, None),
     },
     "cache": {
         "--cache-dir": (None, None, None, None, None),

@@ -6,8 +6,11 @@ a set of well-known fixed encodings.
 """
 
 import io
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import FusionMode, ProcessorConfig, simulate
 from repro.isa import assemble, run_program
@@ -185,3 +188,91 @@ def test_loaded_trace_simulates_identically():
 def test_load_rejects_foreign_files():
     with pytest.raises(TraceFormatError):
         load_trace(io.StringIO('{"format": "something-else"}\n'))
+
+
+_HEADER = '{"format": "repro-trace", "version": 1, "name": "t"}\n'
+_RECORD = {"pc": 4096, "mnemonic": "addi", "rd": 10, "rs1": 10,
+           "rs2": None, "imm": 1}
+
+
+def _with_record(**changes):
+    record = dict(_RECORD, **changes)
+    return _HEADER + json.dumps({k: v for k, v in record.items()
+                                 if v is not ...}) + "\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", "line 1"),
+    ("[1]\n", "not a repro trace"),
+    (_with_record(mnemonic=...), "line 2"),
+    (_HEADER + "[4096, \"addi\"]\n", "line 2"),
+    (_with_record(mnemonic="frobnicate"), "line 2"),
+    (_with_record(rd="a"), "line 2"),
+], ids=["empty-file", "list-header", "no-mnemonic", "list-record",
+        "unknown-mnemonic", "string-register"])
+def test_load_malformed_raises_trace_format_error(text, line):
+    with pytest.raises(TraceFormatError, match=line):
+        load_trace(io.StringIO(text))
+
+
+def _saved_text():
+    trace = run_program(assemble("""
+        li a0, 0x20000
+        li a1, 3
+    loop:
+        ld a2, 0(a0)
+        sd a2, 8(a0)
+        addi a1, a1, -1
+        bnez a1, loop
+        ecall
+    """, name="fuzz"))
+    buffer = io.StringIO()
+    save_trace(trace, buffer)
+    return buffer.getvalue()
+
+
+_SAVED = _saved_text()
+_SAVED_LINES = _SAVED.splitlines(keepends=True)
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def _mutated_trace_files(draw):
+    """A file :func:`save_trace` wrote, with one mutation: text edits
+    anywhere, or a record field replaced, dropped or added."""
+    kind = draw(st.sampled_from(["text", "field", "drop", "line"]))
+    if kind == "text":
+        text = _SAVED
+        for _ in range(draw(st.integers(1, 4))):
+            at = draw(st.integers(0, len(text)))
+            cut = draw(st.integers(0, 3))
+            text = text[:at] + draw(st.text(max_size=3)) + text[at + cut:]
+        return text
+    lines = list(_SAVED_LINES)
+    index = draw(st.integers(0, len(lines) - 1))
+    if kind == "line":
+        lines[index] = json.dumps(draw(_json_values)) + "\n"
+        return "".join(lines)
+    record = json.loads(lines[index])
+    key = draw(st.sampled_from(sorted(record) + ["extra"]))
+    if kind == "drop":
+        record.pop(key, None)
+    else:
+        record[key] = draw(_json_values)
+    lines[index] = json.dumps(record) + "\n"
+    return "".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_mutated_trace_files())
+def test_load_mutated_file_raises_only_trace_format_error(text):
+    try:
+        load_trace(io.StringIO(text))
+    except TraceFormatError:
+        pass

@@ -27,6 +27,7 @@ from repro.fusion.oracle import oracle_memory_pairs
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.core import DRAIN_HORIZON, PipelineCore
 from repro.sampling import (
+    DEFAULT_WINDOWS,
     build_scaled_workload,
     plan_intervals,
     plan_segments,
@@ -70,7 +71,7 @@ def test_plan_intervals_tiny_trace_degenerates_to_none():
 
 
 def test_plan_intervals_geometry():
-    total, windows = 1_000_000, 32
+    total, windows = 1_000_000, DEFAULT_WINDOWS
     plan = plan_intervals(total, windows)
     assert plan is not None
     assert plan.head_uops == total // windows
@@ -87,6 +88,12 @@ def test_plan_intervals_geometry():
     # Continuous warming: every window's warm region starts at 0 (the
     # sampler clamps to its cursor so nothing is warmed twice).
     assert all(w.warm_start == 0 for w in plan.windows)
+    # Sampling pays off only if the pipeline sees a small part of the
+    # trace: the exact head plus each window's detail span (fill
+    # prefix, measured µ-ops, drain slack) stay within a third of it.
+    detailed = plan.head_uops + sum(w.sub_stop - w.detail_start
+                                    for w in plan.windows)
+    assert detailed * 3 <= total
 
 
 def test_plan_segments_partitions_exactly():

@@ -8,9 +8,9 @@ Usage::
 Reads the JSON report that ``pytest --cov=repro
 --cov-report=json:coverage.json`` writes and enforces the ratchet
 floor committed in ``tools/coverage_floor.json``: total line coverage
-must not drop below the floor.  Like ``check_perf.py``, this is a
-regression tripwire, not a target — raise the floor as real coverage
-grows, never lower it to make a PR pass.
+must not drop below the floor.  This is a regression tripwire, not a
+target — raise the floor as real coverage grows, never lower it to
+make a PR pass.
 
 The tool deliberately imports **nothing** from ``coverage``/
 ``pytest-cov`` (neither is a runtime dependency of the repo; CI
